@@ -1,7 +1,6 @@
 """Kernel selection: compiled extension when available, else pure Python.
 
-Set DELSARTE_PURE=1 to force the fallback (used by the benchmark and the
-kernel-equality tests).
+Set DELSARTE_PURE=1 to force the fallback.
 """
 
 import os
@@ -20,7 +19,6 @@ else:
 
 HAVE_COMPILED = _compiled is not None
 
-count_lambda = _active.count_lambda
 one_interior_polygons = _active.one_interior_polygons
 
 

@@ -1,5 +1,5 @@
 # cython: boundscheck=False, wraparound=False, cdivision=True
-"""Compiled kernels: admissible-character counting and the census scan.
+"""Compiled kernel: the census subset scan.
 
 Mirrors `_speedups_py`; both must return identical values on identical
 inputs (enforced by the kernel-equality tests).
@@ -17,46 +17,6 @@ cdef long long _gcd(long long a, long long b) noexcept nogil:
         a = b
         b = r
     return a
-
-
-cdef bint _admissible(long long c0, long long c1, long long c2, long long c3,
-                      long long nmod) noexcept nogil:
-    cdef long long o0, o1, o2, o3, m, k0, k1, k2, k3, t, target
-    if c0 == 0 or c1 == 0 or c2 == 0 or c3 == 0:
-        return False
-    o0 = nmod // _gcd(c0, nmod)
-    o1 = nmod // _gcd(c1, nmod)
-    o2 = nmod // _gcd(c2, nmod)
-    o3 = nmod // _gcd(c3, nmod)
-    m = o0
-    m = m // _gcd(m, o1) * o1
-    m = m // _gcd(m, o2) * o2
-    m = m // _gcd(m, o3) * o3
-    k0 = c0 * m // nmod
-    k1 = c1 * m // nmod
-    k2 = c2 * m // nmod
-    k3 = c3 * m // nmod
-    target = 2 * m
-    for t in range(1, m + 1):
-        if _gcd(t, m) != 1:
-            continue
-        if (t * k0) % m + (t * k1) % m + (t * k2) % m + (t * k3) % m != target:
-            return True
-    return False
-
-
-def count_lambda(cells, long long modulus):
-    """Number of admissible characters among numerator 4-tuples mod `modulus`."""
-    cdef long long count = 0
-    cdef long long c0, c1, c2, c3
-    for cell in cells:
-        c0 = cell[0]
-        c1 = cell[1]
-        c2 = cell[2]
-        c3 = cell[3]
-        if _admissible(c0, c1, c2, c3, modulus):
-            count += 1
-    return count
 
 
 cdef long _cross(long ox, long oy, long ax, long ay, long bx, long by) noexcept nogil:

@@ -1,55 +1,15 @@
-"""Pure-Python kernels; algorithmic mirror of the compiled `_speedups`.
+"""Pure-Python kernel; algorithmic mirror of the compiled `_speedups`.
 
-Used when the extension is not built or DELSARTE_PURE is set. The two
-entry points are the hot loops of the package: the admissible-character
-count and the strictly-convex subset scan behind the polygon census.
+Used when the extension is not built or DELSARTE_PURE is set. The entry
+point is the strictly-convex subset scan behind the polygon census.
 """
 
 from itertools import combinations
-from math import gcd, lcm
+from math import gcd
 
 
 def implementation() -> str:
     return "python"
-
-
-def _admissible(c0, c1, c2, c3, nmod) -> bool:
-    # Nonzero coordinates, then scan multipliers t coprime to the lcm m of
-    # the coordinate orders; the element is admissible as soon as the four
-    # lifts <t*c_i/m> fail to sum to 2 (integer compare: sum of residues
-    # against 2m).
-    if c0 == 0 or c1 == 0 or c2 == 0 or c3 == 0:
-        return False
-    m = lcm(
-        nmod // gcd(c0, nmod),
-        nmod // gcd(c1, nmod),
-        nmod // gcd(c2, nmod),
-        nmod // gcd(c3, nmod),
-    )
-    k0 = c0 * m // nmod
-    k1 = c1 * m // nmod
-    k2 = c2 * m // nmod
-    k3 = c3 * m // nmod
-    target = 2 * m
-    for t in range(1, m + 1):
-        if gcd(t, m) != 1:
-            continue
-        if (t * k0) % m + (t * k1) % m + (t * k2) % m + (t * k3) % m != target:
-            return True
-    return False
-
-
-def count_lambda(cells, modulus) -> int:
-    """Number of admissible characters among cells.
-
-    Each cell is a 4-tuple of numerators over the common denominator
-    `modulus`, already reduced into [0, modulus).
-    """
-    count = 0
-    for c0, c1, c2, c3 in cells:
-        if _admissible(c0, c1, c2, c3, modulus):
-            count += 1
-    return count
 
 
 def _strict_hull(points):

@@ -2,8 +2,10 @@
 
 Subcommands: lambda, rank, table, genus, classify, equiv, census, verify.
 Exit codes: 0 success/match, 2 invalid input, 3 precondition violation
-(singular matrix, divisibility), 4 internal consistency or table
-mismatch. Machine output via --json is byte-stable for fixed inputs.
+(singular matrix, divisibility, character group above
+lattice.MAX_GROUP_ORDER), 4 internal consistency (including
+|L| != |det A| / d) or table mismatch. Machine output via --json is
+byte-stable for fixed inputs.
 """
 
 from __future__ import annotations
@@ -20,6 +22,8 @@ from .errors import (
     DegenerateSupportError,
     DelsarteError,
     DivisibilityError,
+    GroupOrderError,
+    GroupTooLargeError,
     NonEllipticError,
     NotOneInteriorError,
     PolynomialSyntaxError,
@@ -462,13 +466,19 @@ def main(argv=None) -> int:
     except (
         SingularMatrixError,
         DivisibilityError,
+        GroupTooLargeError,
         DegenerateSupportError,
         NotOneInteriorError,
         NonEllipticError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_PRECONDITION
-    except (ClassificationError, RankInconsistencyError, AssertionError) as exc:
+    except (
+        ClassificationError,
+        GroupOrderError,
+        RankInconsistencyError,
+        AssertionError,
+    ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_MISMATCH
     except DelsarteError as exc:

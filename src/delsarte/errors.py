@@ -33,6 +33,14 @@ class RankInconsistencyError(DelsarteError):
     """h2 - lambda - rho_triv came out negative; the inputs disagree."""
 
 
+class GroupTooLargeError(DelsarteError):
+    """The character group has more elements than the enumeration cap."""
+
+
+class GroupOrderError(DelsarteError):
+    """The enumerated character group disagrees with |det A| / d (internal bug)."""
+
+
 class DivisibilityError(DelsarteError):
     """The parameter n violates a representative's divisibility requirement."""
 

@@ -8,19 +8,20 @@ to the degree). When A is nonsingular, the rows (1,0,0,-1)A^-1,
 of L with all four coordinates nonzero for which some integer t,
 preserving every coordinate order, makes the fractional lifts of the
 scaled coordinates sum to something other than 2.
+
+|L| is |det A| / d. The Lefschetz number enumerates L coset by coset,
+each element once, checks the count against |det A| / d, and tests one
+character per Galois orbit, since admissibility is constant on orbits.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
-from math import lcm
+from math import gcd, isqrt, lcm
 
-from . import _kernels
-from .errors import SingularMatrixError
+from .errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
 from .exact import QZVec4, mat4_det, mat4_inverse, qzvec, row_vec_apply
 
 #: One exponent triple (t_exp, x_exp, y_exp).
@@ -87,34 +88,92 @@ def lattice_generators(matrix: ExponentMatrix) -> tuple[QZVec4, QZVec4, QZVec4]:
     return tuple(row_vec_apply(sel, inverse) for sel in _SELECTORS)
 
 
-def _group_cells(generators):
-    """Closure of the generators as numerator tuples mod a common denominator.
+#: Largest |L| that lefschetz_number enumerates. The largest group of the
+#: bundled table and benchmark cases has 80640 elements; a group above the
+#: cap raises GroupTooLargeError (CLI exit 3) before anything is built.
+MAX_GROUP_ORDER = 10**6
 
-    Returns (sorted cells, modulus); cell[i]/modulus is the i-th coordinate.
+
+def _numerators(generators):
+    """Generators reduced into [0, 1) as numerator 4-tuples over their common denominator.
+
+    Returns (numerator tuples, modulus); cell[i]/modulus is the i-th coordinate.
     """
-    denoms = [f.denominator for g in generators for f in g]
-    modulus = lcm(*denoms) if denoms else 1
-    gen_cells = [
-        tuple(int(f * modulus) % modulus for f in qzvec(g)) for g in generators
-    ]
-    zero = (0, 0, 0, 0)
-    seen = {zero}
-    frontier = [zero]
-    while frontier:
-        new = []
-        for element in frontier:
-            for gen in gen_cells:
-                s = (
-                    (element[0] + gen[0]) % modulus,
-                    (element[1] + gen[1]) % modulus,
-                    (element[2] + gen[2]) % modulus,
-                    (element[3] + gen[3]) % modulus,
-                )
-                if s not in seen:
-                    seen.add(s)
-                    new.append(s)
-        frontier = new
-    return sorted(seen), modulus
+    modulus = lcm(*(f.denominator for g in generators for f in g))
+    cells = [tuple(int(f * modulus) for f in g) for g in generators]
+    return cells, modulus
+
+
+def _divisors(n: int) -> list[int]:
+    """The positive divisors of n, ascending."""
+    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
+    return small + [n // d for d in reversed(small) if d * d != n]
+
+
+def _coset_cells(gen_cells, modulus):
+    """Every element of the group generated by gen_cells, each exactly once.
+
+    The group is built one generator g at a time: with k the least
+    positive integer such that k*g lies in the group H built so far, the
+    new group is the disjoint union of the cosets j*g + H for 0 <= j < k.
+    """
+    cells = [(0, 0, 0, 0)]
+    members = set(cells)
+    for g0, g1, g2, g3 in gen_cells:
+        # The k with k*g in H form a subgroup of Z containing the order of
+        # g, so the least one is a divisor of that order.
+        order = modulus // gcd(modulus, g0, g1, g2, g3)
+        k = next(
+            k for k in _divisors(order)
+            if ((k * g0) % modulus, (k * g1) % modulus,
+                (k * g2) % modulus, (k * g3) % modulus) in members
+        )
+        shifts = [
+            ((j * g0) % modulus, (j * g1) % modulus, (j * g2) % modulus, (j * g3) % modulus)
+            for j in range(1, k)
+        ]
+        cosets = [
+            ((c0 + s0) % modulus, (c1 + s1) % modulus,
+             (c2 + s2) % modulus, (c3 + s3) % modulus)
+            for s0, s1, s2, s3 in shifts
+            for c0, c1, c2, c3 in cells
+        ]
+        cells += cosets
+        members.update(cosets)
+    return cells
+
+
+@lru_cache(maxsize=256)
+def _units(m: int) -> tuple[int, ...]:
+    """The multipliers t in [1, m] with gcd(t, m) = 1."""
+    return tuple(t for t in range(1, m + 1) if gcd(t, m) == 1)
+
+
+def _count_orbits(cells, modulus) -> int:
+    """Number of admissible characters among cells, one scan per Galois orbit.
+
+    Admissibility is a property of the orbit {t*x : gcd(t, m) = 1} of an
+    element x of order m (Shioda 1986): x is admissible iff its
+    coordinates are nonzero and the lifts of some member do not sum to 2.
+    The orbit has phi(m) members. Each orbit is visited once, from its
+    first member in cells, and its members are marked seen.
+    """
+    seen = set()
+    count = 0
+    twice = 2 * modulus
+    for cell in cells:
+        if 0 in cell or cell in seen:
+            continue
+        c0, c1, c2, c3 = cell
+        m = modulus // gcd(modulus, c0, c1, c2, c3)
+        orbit = [
+            ((t * c0) % modulus, (t * c1) % modulus, (t * c2) % modulus, (t * c3) % modulus)
+            for t in _units(m)
+        ]
+        seen.update(orbit)
+        if any(sum(member) != twice for member in orbit):
+            count += len(orbit)
+    return count
 
 
 @dataclass(frozen=True)
@@ -128,9 +187,10 @@ class LatticeGroup:
 def enumerate_group(generators) -> LatticeGroup:
     """The full finite subgroup generated by the given vectors."""
     generators = tuple(qzvec(g) for g in generators)
-    cells, modulus = _group_cells(generators)
+    gen_cells, modulus = _numerators(generators)
     elements = frozenset(
-        tuple(Fraction(c, modulus) for c in cell) for cell in cells
+        tuple(Fraction(c, modulus) for c in cell)
+        for cell in _coset_cells(gen_cells, modulus)
     )
     return LatticeGroup(generators, elements)
 
@@ -144,33 +204,41 @@ def in_lambda(vector) -> bool:
     than 2.
     """
     vector = qzvec(vector)
-    modulus = lcm(*(f.denominator for f in vector))
-    cell = tuple(int(f * modulus) for f in vector)
-    return _kernels.count_lambda([cell], modulus) == 1
-
-
-@lru_cache(maxsize=128)
-def _matrix_cells(matrix: ExponentMatrix):
-    return _group_cells(lattice_generators(matrix))
+    if any(f == 0 for f in vector):
+        return False
+    m = lcm(*(f.denominator for f in vector))
+    cell = [int(f * m) for f in vector]
+    return any(sum((t * c) % m for c in cell) != 2 * m for t in _units(m))
 
 
 def group_order(matrix: ExponentMatrix) -> int:
-    """Number of elements of the character group L of the matrix."""
-    cells, _ = _matrix_cells(matrix)
-    return len(cells)
+    """Number of elements of the character group L of the matrix.
+
+    |L| = |det A| / d: L is the image of the sum-zero vectors of Z^4
+    under A^-1 modulo Z^4, that is (sum-zero lattice + row lattice of A)
+    over the row lattice of A, and these two lattices have index d and
+    |det A| in Z^4.
+    """
+    return abs(matrix.determinant) // matrix.degree
 
 
+@lru_cache(maxsize=1024)
 def lefschetz_number(matrix: ExponentMatrix) -> int:
     """Count of admissible characters in L.
 
-    DELSARTE_WORKERS > 1 splits the elements across threads; the count is
-    a sum of per-chunk counts and does not depend on the split.
+    Raises GroupTooLargeError when |L| exceeds MAX_GROUP_ORDER, and
+    GroupOrderError when the number of enumerated elements differs from
+    group_order(matrix).
     """
-    cells, modulus = _matrix_cells(matrix)
-    workers = int(os.environ.get("DELSARTE_WORKERS", "1") or "1")
-    if workers <= 1 or len(cells) < 2 * workers:
-        return _kernels.count_lambda(cells, modulus)
-    chunks = [cells[i::workers] for i in range(workers)]
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        parts = pool.map(lambda c: _kernels.count_lambda(c, modulus), chunks)
-    return sum(parts)
+    predicted = group_order(matrix)
+    if predicted > MAX_GROUP_ORDER:
+        raise GroupTooLargeError(
+            f"character group has {predicted} elements, above the cap of {MAX_GROUP_ORDER}"
+        )
+    gen_cells, modulus = _numerators(lattice_generators(matrix))
+    cells = _coset_cells(gen_cells, modulus)
+    if len(cells) != predicted:
+        raise GroupOrderError(
+            f"enumerated {len(cells)} characters, but |det A| / d = {predicted}"
+        )
+    return _count_orbits(cells, modulus)

@@ -1,10 +1,11 @@
 """Independent brute-force validators.
 
 Everything here deliberately uses the naive formulation — full product
-enumeration of the character group, full multiplier scans with exact
-Fraction lifts and no early exit, bounding-box scans for lattice points,
-trial-division primes — so a bug shared with the optimized paths is
-implausible. Slow by design; used by the test suite and `delsarte verify`.
+enumeration of the character group, breadth-first closure of its
+generators, full multiplier scans of every element, bounding-box scans
+for lattice points, trial-division primes — so a bug shared with the
+optimized paths is implausible. Slow by design; used by the test suite
+and `delsarte verify`.
 """
 
 from __future__ import annotations
@@ -67,6 +68,66 @@ def brute_lambda(matrix: ExponentMatrix) -> int:
         if _naive_member(vec):
             count += 1
     return count
+
+
+def closure_cells(generators):
+    """Breadth-first closure of the generators as numerator tuples.
+
+    Returns (set of cells, modulus); cell[i]/modulus is the i-th
+    coordinate and the modulus is the common denominator of the
+    generators. Oracle for the coset enumeration of lattice.py.
+    """
+    modulus = lcm(*(Fraction(f).denominator for g in generators for f in g))
+    gen_cells = [tuple(int(Fraction(f) * modulus) % modulus for f in g) for g in generators]
+    zero = (0, 0, 0, 0)
+    seen = {zero}
+    frontier = [zero]
+    while frontier:
+        new = []
+        for element in frontier:
+            for gen in gen_cells:
+                s = tuple((e + d) % modulus for e, d in zip(element, gen))
+                if s not in seen:
+                    seen.add(s)
+                    new.append(s)
+        frontier = new
+    return seen, modulus
+
+
+def _scan_admissible(c0, c1, c2, c3, nmod) -> bool:
+    # Nonzero coordinates, then scan multipliers t coprime to the lcm m of
+    # the coordinate orders; the element is admissible as soon as the four
+    # lifts <t*c_i/m> fail to sum to 2 (integer compare: sum of residues
+    # against 2m).
+    if c0 == 0 or c1 == 0 or c2 == 0 or c3 == 0:
+        return False
+    m = lcm(
+        nmod // gcd(c0, nmod),
+        nmod // gcd(c1, nmod),
+        nmod // gcd(c2, nmod),
+        nmod // gcd(c3, nmod),
+    )
+    k0 = c0 * m // nmod
+    k1 = c1 * m // nmod
+    k2 = c2 * m // nmod
+    k3 = c3 * m // nmod
+    target = 2 * m
+    for t in range(1, m + 1):
+        if gcd(t, m) != 1:
+            continue
+        if (t * k0) % m + (t * k1) % m + (t * k2) % m + (t * k3) % m != target:
+            return True
+    return False
+
+
+def scan_lambda(cells, modulus) -> int:
+    """Admissible characters among cells, by a multiplier scan of each one.
+
+    Each cell is a 4-tuple of numerators over `modulus`, reduced into
+    [0, modulus). Oracle for the Galois-orbit count of lattice.py: every
+    element is scanned on its own, with no orbit reduction.
+    """
+    return sum(1 for c0, c1, c2, c3 in cells if _scan_admissible(c0, c1, c2, c3, modulus))
 
 
 def _point_location(polygon, point):

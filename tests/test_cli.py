@@ -1,6 +1,9 @@
 import json
+import time
 
 import pytest
+
+from delsarte import lattice
 
 from delsarte.catalog import DEFAULT_CATALOG
 from delsarte.cli import main, parse_polynomial
@@ -77,6 +80,27 @@ def test_lambda_syntax_error_exit_code(capsys):
 
 def test_lambda_singular_exit_code(capsys):
     assert main(["lambda", "--poly", "1 + X + X^2 + X^3"]) == 3
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["lambda", "--poly", "1 + t^1000000 X^3 + X^3 + Y^2"],  # |L| = 6000000
+        ["rank", "--rep", "1a", "--n", "360000"],  # |L| = 2160000
+    ],
+)
+def test_group_above_cap_exit_code(argv, capsys):
+    start = time.perf_counter()
+    assert main(argv) == 3
+    assert time.perf_counter() - start < 2
+    assert "above the cap" in capsys.readouterr().err
+
+
+def test_group_order_mismatch_exit_code(monkeypatch, capsys):
+    lattice.lefschetz_number.cache_clear()
+    monkeypatch.setattr(lattice, "group_order", lambda matrix: 1)
+    assert main(["lambda", "--poly", "1 + t^12 X^3 + X^3 + Y^2"]) == 4
+    assert "|det A| / d" in capsys.readouterr().err
 
 
 def test_table_command(capsys):

@@ -1,9 +1,6 @@
-import random
-
 import pytest
 
-from delsarte import _kernels, _speedups_py
-from delsarte.lattice import _group_cells, homogenize, lattice_generators
+from delsarte import _speedups_py
 
 _speedups = pytest.importorskip("delsarte._speedups")
 
@@ -11,23 +8,6 @@ _speedups = pytest.importorskip("delsarte._speedups")
 def test_implementation_names():
     assert _speedups_py.implementation() == "python"
     assert _speedups.implementation() == "c"
-
-
-def test_count_lambda_agreement_on_group():
-    terms = ((0, 0, 0), (12, 3, 0), (0, 3, 0), (0, 0, 2))
-    cells, modulus = _group_cells(lattice_generators(homogenize(terms)))
-    assert _speedups.count_lambda(cells, modulus) == _speedups_py.count_lambda(cells, modulus)
-
-
-def test_count_lambda_agreement_on_random_cells():
-    rng = random.Random(5)
-    for modulus in (2, 6, 12, 30, 60, 90):
-        cells = [
-            tuple(rng.randrange(0, modulus) for _ in range(4)) for _ in range(200)
-        ]
-        assert _speedups.count_lambda(cells, modulus) == _speedups_py.count_lambda(
-            cells, modulus
-        ), modulus
 
 
 def test_census_agreement():

@@ -10,7 +10,8 @@ from delsarte import (
     lattice_generators,
     lefschetz_number,
 )
-from delsarte.errors import SingularMatrixError
+from delsarte import lattice
+from delsarte.errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
 from delsarte.exact import qz
 
 F = Fraction
@@ -149,9 +150,27 @@ def test_in_lambda_depends_on_coordinate_multiset_only():
         assert len(verdicts) == 1, vec
 
 
-def test_workers_do_not_change_result(monkeypatch):
-    matrix = homogenize(TERMS_1D_60)
-    baseline = lefschetz_number(matrix)
-    for workers in ("2", "3", "7"):
-        monkeypatch.setenv("DELSARTE_WORKERS", workers)
-        assert lefschetz_number(matrix) == baseline
+
+def test_group_order_from_determinant(catalog):
+    # |L| = |det A| / d, e.g. 1b at n = 840: 4238640 / 841 = 5040
+    matrix = homogenize(catalog.family_terms("1b", 840))
+    assert (abs(matrix.determinant), matrix.degree) == (4238640, 841)
+    assert group_order(matrix) == 5040
+    for rep, n, order in (("1a", 5760, 34560), ("1b", 13440, 80640), ("1d", 60, 360)):
+        assert group_order(homogenize(catalog.family_terms(rep, n))) == order, rep
+
+
+def test_lefschetz_refuses_groups_above_the_cap():
+    matrix = homogenize(((0, 0, 0), (10**6, 3, 0), (0, 3, 0), (0, 0, 2)))
+    assert group_order(matrix) == 6 * 10**6 > lattice.MAX_GROUP_ORDER
+    with pytest.raises(GroupTooLargeError):
+        lefschetz_number(matrix)
+
+
+def test_lefschetz_checks_enumerated_order(monkeypatch):
+    matrix = homogenize(((0, 0, 0), (12, 3, 0), (0, 3, 0), (0, 0, 2)))
+    true_order = group_order(matrix)
+    lefschetz_number.cache_clear()
+    monkeypatch.setattr(lattice, "group_order", lambda m: true_order + 1)
+    with pytest.raises(GroupOrderError):
+        lefschetz_number(matrix)

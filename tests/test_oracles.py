@@ -2,12 +2,15 @@ import random
 
 import pytest
 
-from delsarte import homogenize, lattice_counts, lefschetz_number
+from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
+from delsarte.lattice import _coset_cells, _count_orbits, _numerators
 from delsarte.oracles import (
     brute_lambda,
     class_census,
+    closure_cells,
     interior_scan,
     prime_gap_scan,
+    scan_lambda,
     scan_points,
 )
 from property_suites import random_matrix
@@ -43,6 +46,33 @@ def test_brute_matches_main_on_random_matrices():
         lam = lefschetz_number(matrix)
         assert brute_lambda(matrix) == lam, matrix.rows
         assert 0 <= lam <= group_order(matrix)
+
+
+def _random_groups(seed, count=400):
+    """(matrix, enumerated cells, modulus) for random nonsingular supports, exponents < 9."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        matrix = random_matrix(rng, max_exp=8)
+        gen_cells, modulus = _numerators(lattice_generators(matrix))
+        yield matrix, _coset_cells(gen_cells, modulus), modulus
+
+
+def test_orbit_count_matches_full_scan():
+    for matrix, cells, modulus in _random_groups(31):
+        assert _count_orbits(cells, modulus) == scan_lambda(cells, modulus), matrix.rows
+
+
+def test_coset_enumeration_matches_closure():
+    for matrix, cells, modulus in _random_groups(37):
+        closure, closure_modulus = closure_cells(lattice_generators(matrix))
+        assert closure_modulus == modulus, matrix.rows
+        assert len(set(cells)) == len(cells), matrix.rows
+        assert set(cells) == closure, matrix.rows
+
+
+def test_group_order_is_enumerated_size():
+    for matrix, cells, _ in _random_groups(41):
+        assert group_order(matrix) == len(cells), matrix.rows
 
 
 def test_interior_scan_examples():
