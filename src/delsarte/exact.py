@@ -1,4 +1,4 @@
-"""Exact arithmetic: Q/Z residues and 4x4 rational linear algebra.
+"""Exact arithmetic: Q/Z residues and 4x4 integer and rational linear algebra.
 
 Residues of Q/Z are plain ``fractions.Fraction`` values reduced into
 [0, 1); ``Fraction`` already keeps numerator/denominator coprime with a
@@ -66,6 +66,30 @@ def mat4_det(rows) -> int:
         term = rows[0][col] * _det3(minor)
         det += term if col % 2 == 0 else -term
     return det
+
+
+def mat4_adjugate(rows):
+    """Adjugate of a 4x4 integer matrix as a tuple of integer rows.
+
+    adj(A)[i][j] is the (j, i) cofactor, so A * adj(A) = det(A) * I and,
+    for nonsingular A, the inverse is adj(A) / det(A). Each cofactor is
+    expanded along the 2x2 minors of rows 0-1 (s) and rows 2-3 (t).
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    return (
+        (b1 * t23 - b2 * t13 + b3 * t12, -a1 * t23 + a2 * t13 - a3 * t12,
+         d1 * s23 - d2 * s13 + d3 * s12, -c1 * s23 + c2 * s13 - c3 * s12),
+        (-b0 * t23 + b2 * t03 - b3 * t02, a0 * t23 - a2 * t03 + a3 * t02,
+         -d0 * s23 + d2 * s03 - d3 * s02, c0 * s23 - c2 * s03 + c3 * s02),
+        (b0 * t13 - b1 * t03 + b3 * t01, -a0 * t13 + a1 * t03 - a3 * t01,
+         d0 * s13 - d1 * s03 + d3 * s01, -c0 * s13 + c1 * s03 - c3 * s01),
+        (-b0 * t12 + b1 * t02 - b2 * t01, a0 * t12 - a1 * t02 + a2 * t01,
+         -d0 * s12 + d1 * s02 - d2 * s01, c0 * s12 - c1 * s02 + c2 * s01),
+    )
 
 
 def mat4_inverse(rows):

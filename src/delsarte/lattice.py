@@ -4,10 +4,12 @@ A four-term polynomial sum of t^a X^b Y^c homogenizes to a surface in P^3
 whose exponents form a 4x4 matrix A (columns X, Y, Z, T; every row sums
 to the degree). When A is nonsingular, the rows (1,0,0,-1)A^-1,
 (0,1,0,-1)A^-1 and (0,0,1,-1)A^-1 generate a finite subgroup L of
-(Q/Z)^4. The Lefschetz number of the surface is the number of elements
-of L with all four coordinates nonzero for which some integer t,
-preserving every coordinate order, makes the fractional lifts of the
-scaled coordinates sum to something other than 2.
+(Q/Z)^4. Since A^-1 = adj(A) / det A, the generators are integer
+numerators over |det A|, taken straight from the integer adjugate. The
+Lefschetz number of the surface is the number of elements of L with all
+four coordinates nonzero for which some integer t, preserving every
+coordinate order, makes the fractional lifts of the scaled coordinates
+sum to something other than 2.
 
 |L| is |det A| / d. The Lefschetz number enumerates L coset by coset,
 each element once, checks the count against |det A| / d, and tests one
@@ -22,7 +24,7 @@ from functools import lru_cache
 from math import gcd, isqrt, lcm
 
 from .errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
-from .exact import QZVec4, mat4_det, mat4_inverse, qzvec, row_vec_apply
+from .exact import QZVec4, mat4_adjugate, mat4_det, qzvec
 
 #: One exponent triple (t_exp, x_exp, y_exp).
 Term = tuple[int, int, int]
@@ -79,13 +81,32 @@ def homogenize(terms) -> ExponentMatrix:
     return ExponentMatrix(rows, degree)
 
 
-_SELECTORS = ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
+def _generator_cells(matrix: ExponentMatrix):
+    """The three generators of L as numerator 4-tuples over their common denominator.
+
+    The generator (e_i - e_4) A^-1 is (adj[i] - adj[3]) / det A, which
+    reduces to the numerators sign(det A) * (adj[i] - adj[3]) mod |det A|.
+    Dividing them and |det A| by their common gcd leaves the least common
+    denominator. Returns (numerator tuples, modulus); cell[j]/modulus is
+    the j-th coordinate, in [0, 1).
+    """
+    adj = mat4_adjugate(matrix.rows)
+    # The (0, 0) entry of A adj(A) = det(A) I.
+    det = sum(a * row[0] for a, row in zip(matrix.rows[0], adj))
+    size = abs(det)
+    sign = 1 if det > 0 else -1
+    last = adj[3]
+    cells = [
+        tuple((sign * (a - b)) % size for a, b in zip(adj[i], last)) for i in range(3)
+    ]
+    g = gcd(size, *(c for cell in cells for c in cell))
+    return [tuple(c // g for c in cell) for cell in cells], size // g
 
 
 def lattice_generators(matrix: ExponentMatrix) -> tuple[QZVec4, QZVec4, QZVec4]:
     """The three generators of L, reduced coordinatewise into [0, 1)."""
-    inverse = mat4_inverse(matrix.rows)
-    return tuple(row_vec_apply(sel, inverse) for sel in _SELECTORS)
+    cells, modulus = _generator_cells(matrix)
+    return tuple(tuple(Fraction(c, modulus) for c in cell) for cell in cells)
 
 
 #: Largest |L| that lefschetz_number enumerates. The largest group of the
@@ -235,7 +256,7 @@ def lefschetz_number(matrix: ExponentMatrix) -> int:
         raise GroupTooLargeError(
             f"character group has {predicted} elements, above the cap of {MAX_GROUP_ORDER}"
         )
-    gen_cells, modulus = _numerators(lattice_generators(matrix))
+    gen_cells, modulus = _generator_cells(matrix)
     cells = _coset_cells(gen_cells, modulus)
     if len(cells) != predicted:
         raise GroupOrderError(

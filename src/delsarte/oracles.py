@@ -1,11 +1,12 @@
 """Independent brute-force validators.
 
-Everything here deliberately uses the naive formulation — full product
-enumeration of the character group, breadth-first closure of its
-generators, full multiplier scans of every element, bounding-box scans
-for lattice points, trial-division primes — so a bug shared with the
-optimized paths is implausible. Slow by design; used by the test suite
-and `delsarte verify`.
+Everything here deliberately uses the naive formulation — generators
+from a Fraction Gauss-Jordan inverse, full product enumeration of the
+character group, breadth-first closure of its generators, full
+multiplier scans of every element, bounding-box scans for lattice
+points, trial-division primes — so a bug shared with the optimized
+paths is implausible. Slow by design; used by the test suite and
+`delsarte verify`. Only brute_lambda needs numpy, and imports it itself.
 """
 
 from __future__ import annotations
@@ -13,9 +14,8 @@ from __future__ import annotations
 from fractions import Fraction
 from math import gcd, lcm
 
-import numpy as np
-
-from .lattice import ExponentMatrix, lattice_generators
+from .exact import mat4_inverse, row_vec_apply
+from .lattice import ExponentMatrix
 from .polygon import lattice_counts, polygon_edges
 from . import polygon as _polygon
 
@@ -38,15 +38,33 @@ def _naive_member(vec) -> bool:
     return any(s != 2 for s in sums)
 
 
+def gauss_jordan_generators(matrix: ExponentMatrix):
+    """The three generators (e_i - e_4) A^-1 of L, by Fraction Gauss-Jordan.
+
+    Oracle for the adjugate numerators that lattice.py computes.
+    """
+    inverse = mat4_inverse(matrix.rows)
+    return tuple(
+        row_vec_apply(sel, inverse) for sel in ((1, 0, 0, -1), (0, 1, 0, -1), (0, 0, 1, -1))
+    )
+
+
 def brute_lambda(matrix: ExponentMatrix) -> int:
     """Lefschetz number by exhaustive triple-product enumeration.
 
-    Walks i, j, k over the full generator-order ranges (vectorized with
-    numpy, deduplicated as a set) and counts members with the naive
-    Fraction scan.
+    Walks i, j, k over the full order ranges of the Gauss-Jordan
+    generators, sums i*g0 + j*g1 + k*g2 for every triple with numpy,
+    deduplicates the sums by one integer key per element, and counts
+    members with the naive Fraction scan. numpy is imported here, the
+    only place that needs it, so it stays out of the CLI's import path.
     """
-    gens = lattice_generators(matrix)
+    import numpy as np
+
+    gens = gauss_jordan_generators(matrix)
     modulus = lcm(*(f.denominator for g in gens for f in g))
+    # The key ((c0*m + c1)*m + c2)*m + c3 of a cell must fit in an int64.
+    if modulus**4 >= 2**63:
+        raise ValueError(f"modulus {modulus} too large for int64 cell keys")
     scaled = [np.array([int(f * modulus) for f in g], dtype=np.int64) for g in gens]
     orders = [_vector_order(g) for g in gens]
 
@@ -58,13 +76,16 @@ def brute_lambda(matrix: ExponentMatrix) -> int:
     inner = inner.reshape(-1, 4)
     blocks = []
     for i in range(orders[0]):
-        block = (inner + i * scaled[0]) % modulus
-        blocks.append(np.unique(block, axis=0))
-    elements = np.unique(np.concatenate(blocks), axis=0)
+        c0, c1, c2, c3 = ((inner + i * scaled[0]) % modulus).T
+        blocks.append(np.unique(((c0 * modulus + c1) * modulus + c2) * modulus + c3))
+    keys = np.unique(np.concatenate(blocks))
 
     count = 0
-    for cell in elements:
-        vec = tuple(Fraction(int(c), modulus) for c in cell)
+    for key in keys.tolist():
+        key, c3 = divmod(key, modulus)
+        key, c2 = divmod(key, modulus)
+        c0, c1 = divmod(key, modulus)
+        vec = tuple(Fraction(c, modulus) for c in (c0, c1, c2, c3))
         if _naive_member(vec):
             count += 1
     return count

@@ -1,8 +1,12 @@
 import json
+import os
+import subprocess
+import sys
 import time
 
 import pytest
 
+import delsarte
 from delsarte import lattice
 
 from delsarte.catalog import DEFAULT_CATALOG
@@ -202,3 +206,32 @@ def test_rank_reports_failed_check(tmp_path, capsys):
     path.write_text(doctored)
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 4
     assert "lambda-formula FAIL" in capsys.readouterr().out
+
+
+_COLD_PATH_SCRIPT = """
+import contextlib, io, sys
+from delsarte.cli import main
+
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [
+        main(["table", "--json"]),
+        main(["rank", "--rep", "1a", "--n", "360", "--json"]),
+        main(["classify", "--poly", "1 + t^4 X^2 Y + X^3 + Y^2"]),
+    ]
+    cold = "numpy" in sys.modules
+    codes.append(main(["verify", "--suite", "lambda", "--nmax", "12"]))
+print(codes, cold, "numpy" in sys.modules)
+"""
+
+
+def test_numpy_stays_off_the_cold_path():
+    src = os.path.dirname(os.path.dirname(delsarte.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    result = subprocess.run(
+        [sys.executable, "-c", _COLD_PATH_SCRIPT],
+        env=env, capture_output=True, text=True, timeout=120,
+    )
+    assert result.returncode == 0, result.stderr
+    # Only the lambda oracle of verify loads numpy.
+    assert result.stdout.split() == ["[0,", "0,", "0,", "0]", "False", "True"]

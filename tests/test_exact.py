@@ -6,6 +6,7 @@ import pytest
 
 from delsarte.errors import SingularMatrixError
 from delsarte.exact import (
+    mat4_adjugate,
     mat4_det,
     mat4_inverse,
     qz,
@@ -84,6 +85,28 @@ def test_mat4_inverse_singular():
 
 def test_mat4_det_worked_example():
     assert mat4_det(A60) == 22680
+
+
+def test_mat4_adjugate_worked_example():
+    adj = mat4_adjugate(A60)
+    inverse = mat4_inverse(A60)
+    assert all(isinstance(x, int) for row in adj for x in row)
+    assert adj == tuple(tuple(x * 22680 for x in row) for row in inverse)
+    assert mat4_adjugate(IDENTITY) == IDENTITY
+
+
+def test_mat4_adjugate_random_identity():
+    # A adj(A) = adj(A) A = det(A) I, singular matrices included.
+    rng = random.Random(13)
+    for _ in range(300):
+        rows = tuple(tuple(rng.randrange(-9, 10) for _ in range(4)) for _ in range(4))
+        adj = mat4_adjugate(rows)
+        det = mat4_det(rows)
+        for i in range(4):
+            for j in range(4):
+                want = det * int(i == j)
+                assert sum(rows[i][k] * adj[k][j] for k in range(4)) == want, rows
+                assert sum(adj[i][k] * rows[k][j] for k in range(4)) == want, rows
 
 
 def test_mat4_inverse_random_roundtrip():

@@ -3,11 +3,12 @@ import random
 import pytest
 
 from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
-from delsarte.lattice import _coset_cells, _count_orbits, _numerators
+from delsarte.lattice import _coset_cells, _count_orbits, _generator_cells, _numerators
 from delsarte.oracles import (
     brute_lambda,
     class_census,
     closure_cells,
+    gauss_jordan_generators,
     interior_scan,
     prime_gap_scan,
     scan_lambda,
@@ -37,6 +38,13 @@ def test_brute_zero_when_all_elements_have_zero_coordinate():
     assert brute_lambda(matrix) == 0
 
 
+def test_brute_refuses_modulus_beyond_int64_keys():
+    # 1d at n = 60000 has modulus 60000, and 60000**4 >= 2**63.
+    matrix = homogenize(((0, 0, 0), (60000, 3, 0), (0, 3, 0), (0, 0, 2)))
+    with pytest.raises(ValueError, match="int64"):
+        brute_lambda(matrix)
+
+
 def test_brute_matches_main_on_random_matrices():
     from delsarte import group_order
 
@@ -53,8 +61,21 @@ def _random_groups(seed, count=400):
     rng = random.Random(seed)
     for _ in range(count):
         matrix = random_matrix(rng, max_exp=8)
-        gen_cells, modulus = _numerators(lattice_generators(matrix))
+        gen_cells, modulus = _generator_cells(matrix)
         yield matrix, _coset_cells(gen_cells, modulus), modulus
+
+
+def test_adjugate_generators_match_gauss_jordan(catalog):
+    rng = random.Random(29)
+    matrices = [random_matrix(rng, max_exp=8) for _ in range(300)]
+    matrices += [
+        homogenize(catalog.family_terms(row.id, row.table_n)) for row in catalog.rows.values()
+    ]
+    assert len(matrices) == 342
+    for matrix in matrices:
+        reference = gauss_jordan_generators(matrix)
+        assert _generator_cells(matrix) == _numerators(reference), matrix.rows
+        assert lattice_generators(matrix) == reference, matrix.rows
 
 
 def test_orbit_count_matches_full_scan():
@@ -64,7 +85,7 @@ def test_orbit_count_matches_full_scan():
 
 def test_coset_enumeration_matches_closure():
     for matrix, cells, modulus in _random_groups(37):
-        closure, closure_modulus = closure_cells(lattice_generators(matrix))
+        closure, closure_modulus = closure_cells(gauss_jordan_generators(matrix))
         assert closure_modulus == modulus, matrix.rows
         assert len(set(cells)) == len(cells), matrix.rows
         assert set(cells) == closure, matrix.rows
