@@ -49,6 +49,8 @@ EXIT_MISMATCH = 4
 # --- polynomial input --------------------------------------------------------
 
 _VARS = {"t": 0, "X": 1, "Y": 2}
+# ASCII only: str.isdigit() also accepts superscripts and other scripts' digits.
+_DIGITS = "0123456789"
 
 
 def _tokenize_poly(text: str):
@@ -63,9 +65,9 @@ def _tokenize_poly(text: str):
             tokens.append((ch if ch in "^*+" else "var", ch, pos))
             pos += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             start = pos
-            while pos < len(text) and text[pos].isdigit():
+            while pos < len(text) and text[pos] in _DIGITS:
                 pos += 1
             tokens.append(("num", text[start:pos], start))
             continue
@@ -105,7 +107,10 @@ def parse_polynomial(text: str):
                     if nkind != "num":
                         raise PolynomialSyntaxError("expected integer exponent", npos)
                     index += 1
-                    power = int(nvalue)
+                    try:
+                        power = int(nvalue)
+                    except ValueError:  # beyond the interpreter's int-from-str digit limit
+                        raise PolynomialSyntaxError("exponent too long", npos) from None
                 exponents[_VARS[value]] += power
                 saw_factor = True
             elif kind == "num":

@@ -11,9 +11,11 @@ four coordinates nonzero for which some integer t, preserving every
 coordinate order, makes the fractional lifts of the scaled coordinates
 sum to something other than 2.
 
-|L| is |det A| / d. The Lefschetz number enumerates L coset by coset,
-each element once, checks the count against |det A| / d, and tests one
-character per Galois orbit, since admissibility is constant on orbits.
+|L| is |det A| / d. The Lefschetz number never enumerates L: it splits
+L into its p-parts L_p, enumerates each coset by coset, checks the
+product of their orders against |det A| / d, and tests one character
+per Galois orbit of L, since admissibility is constant on orbits and
+the orbits of L are the products of the orbits of the L_p.
 """
 
 from __future__ import annotations
@@ -21,6 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
+from itertools import product
 from math import gcd, isqrt, lcm
 
 from .errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
@@ -44,7 +47,11 @@ def validate_terms(terms) -> tuple[Term, ...]:
 
 @dataclass(frozen=True)
 class ExponentMatrix:
-    """4x4 matrix of homogenized exponents, columns ordered (X, Y, Z, T)."""
+    """4x4 matrix of homogenized exponents, columns ordered (X, Y, Z, T).
+
+    ``determinant`` is computed once on construction and stored outside
+    the dataclass fields, so equality and hashing use (rows, degree) only.
+    """
 
     rows: tuple[tuple[int, int, int, int], ...]
     degree: int
@@ -58,14 +65,12 @@ class ExponentMatrix:
             raise ValueError("exponents must be nonnegative")
         if any(sum(row) != self.degree for row in rows):
             raise ValueError("every row must sum to the degree")
-        if mat4_det(rows) == 0:
+        determinant = mat4_det(rows)
+        if determinant == 0:
             raise SingularMatrixError(
                 "exponent matrix is singular; the character-group method does not apply"
             )
-
-    @property
-    def determinant(self) -> int:
-        return mat4_det(self.rows)
+        object.__setattr__(self, "determinant", determinant)
 
 
 def homogenize(terms) -> ExponentMatrix:
@@ -91,8 +96,7 @@ def _generator_cells(matrix: ExponentMatrix):
     the j-th coordinate, in [0, 1).
     """
     adj = mat4_adjugate(matrix.rows)
-    # The (0, 0) entry of A adj(A) = det(A) I.
-    det = sum(a * row[0] for a, row in zip(matrix.rows[0], adj))
+    det = matrix.determinant
     size = abs(det)
     sign = 1 if det > 0 else -1
     last = adj[3]
@@ -109,7 +113,7 @@ def lattice_generators(matrix: ExponentMatrix) -> tuple[QZVec4, QZVec4, QZVec4]:
     return tuple(tuple(Fraction(c, modulus) for c in cell) for cell in cells)
 
 
-#: Largest |L| that lefschetz_number enumerates. The largest group of the
+#: Largest |L| that lefschetz_number accepts. The largest group of the
 #: bundled table and benchmark cases has 80640 elements; a group above the
 #: cap raises GroupTooLargeError (CLI exit 3) before anything is built.
 MAX_GROUP_ORDER = 10**6
@@ -164,37 +168,73 @@ def _coset_cells(gen_cells, modulus):
     return cells
 
 
-@lru_cache(maxsize=256)
-def _units(m: int) -> tuple[int, ...]:
-    """The multipliers t in [1, m] with gcd(t, m) = 1."""
-    return tuple(t for t in range(1, m + 1) if gcd(t, m) == 1)
+def _prime_powers(n: int) -> list[tuple[int, int]]:
+    """The pairs (q, p) with q = p^k the exact power of the prime p dividing n, by trial division."""
+    factors = []
+    p = 2
+    while p * p <= n:
+        if n % p == 0:
+            q = 1
+            while n % p == 0:
+                n //= p
+                q *= p
+            factors.append((q, p))
+        p += 1
+    if n > 1:
+        factors.append((n, n))
+    return factors
 
 
-def _count_orbits(cells, modulus) -> int:
-    """Number of admissible characters among cells, one scan per Galois orbit.
+def _p_parts(gen_cells, modulus):
+    """The p-parts of the group L generated by gen_cells over modulus.
 
-    Admissibility is a property of the orbit {t*x : gcd(t, m) = 1} of an
-    element x of order m (Shioda 1986): x is admissible iff its
-    coordinates are nonzero and the lifts of some member do not sum to 2.
-    The orbit has phi(m) members. Each orbit is visited once, from its
-    first member in cells, and its members are marked seen.
+    For each prime power q = p^k exactly dividing the modulus, the p-part
+    L_p = (modulus/q) L is generated by the cells g mod q over q. Returns
+    a list of (q, p, every element of L_p over q); L is their direct sum.
+    """
+    return [
+        (q, p, _coset_cells([tuple(c % q for c in g) for g in gen_cells], q))
+        for q, p in _prime_powers(modulus)
+    ]
+
+
+def _orbit_representatives(cells, q, p):
+    """One (cell, order, orbit size) per Galois orbit of a p-group over q = p^k.
+
+    The orbit of a cell r of order o = p^j is {t r : p does not divide t},
+    where t r mod q only depends on t mod o; it has phi(o) members.
     """
     seen = set()
-    count = 0
-    twice = 2 * modulus
+    representatives = []
     for cell in cells:
-        if 0 in cell or cell in seen:
+        if cell in seen:
             continue
         c0, c1, c2, c3 = cell
-        m = modulus // gcd(modulus, c0, c1, c2, c3)
+        order = q // gcd(q, c0, c1, c2, c3)
         orbit = [
-            ((t * c0) % modulus, (t * c1) % modulus, (t * c2) % modulus, (t * c3) % modulus)
-            for t in _units(m)
+            ((t * c0) % q, (t * c1) % q, (t * c2) % q, (t * c3) % q)
+            for t in range(1, order + 1) if t % p
         ]
         seen.update(orbit)
-        if any(sum(member) != twice for member in orbit):
-            count += len(orbit)
-    return count
+        representatives.append((cell, order, len(orbit)))
+    return representatives
+
+
+def _admissible(cell, m) -> bool:
+    """Admissibility of the character cell/m of order m.
+
+    False when a coordinate is zero. Otherwise the units t of Z/m are
+    scanned upward, and the answer is True at the first t whose lifts
+    <t*c_i/m> do not sum to 2 (integer compare: residues against 2m).
+    """
+    if 0 in cell:
+        return False
+    c0, c1, c2, c3 = cell
+    twice = 2 * m
+    return any(
+        (t * c0) % m + (t * c1) % m + (t * c2) % m + (t * c3) % m != twice
+        for t in range(1, m) if gcd(t, m) == 1
+    )
 
 
 @dataclass(frozen=True)
@@ -225,11 +265,8 @@ def in_lambda(vector) -> bool:
     than 2.
     """
     vector = qzvec(vector)
-    if any(f == 0 for f in vector):
-        return False
     m = lcm(*(f.denominator for f in vector))
-    cell = [int(f * m) for f in vector]
-    return any(sum((t * c) % m for c in cell) != 2 * m for t in _units(m))
+    return _admissible(tuple(int(f * m) for f in vector), m)
 
 
 def group_order(matrix: ExponentMatrix) -> int:
@@ -245,11 +282,18 @@ def group_order(matrix: ExponentMatrix) -> int:
 
 @lru_cache(maxsize=1024)
 def lefschetz_number(matrix: ExponentMatrix) -> int:
-    """Count of admissible characters in L.
+    """Count of admissible characters in L, one test per Galois orbit.
+
+    The modulus M of the generators is the exponent of L. Only the
+    p-parts L_p are enumerated; |L| = prod |L_p| is checked against
+    group_order(matrix). By the CRT, (Z/M)^* = prod (Z/q)^* and
+    L = sum L_p, so each Galois orbit {t x : gcd(t, M) = 1} of L is a
+    product of orbits of the L_p, with representative x = sum (M/q) r_p,
+    order prod ord r_p and prod phi(ord r_p) members. Admissibility is
+    constant on an orbit (Shioda 1986), so each x is tested once.
 
     Raises GroupTooLargeError when |L| exceeds MAX_GROUP_ORDER, and
-    GroupOrderError when the number of enumerated elements differs from
-    group_order(matrix).
+    GroupOrderError when prod |L_p| differs from group_order(matrix).
     """
     predicted = group_order(matrix)
     if predicted > MAX_GROUP_ORDER:
@@ -257,9 +301,35 @@ def lefschetz_number(matrix: ExponentMatrix) -> int:
             f"character group has {predicted} elements, above the cap of {MAX_GROUP_ORDER}"
         )
     gen_cells, modulus = _generator_cells(matrix)
-    cells = _coset_cells(gen_cells, modulus)
-    if len(cells) != predicted:
+    enumerated = 1
+    parts = []
+    for q, p, cells in _p_parts(gen_cells, modulus):
+        enumerated *= len(cells)
+        scale = modulus // q
+        parts.append([
+            (tuple(scale * c for c in cell), order, size)
+            for cell, order, size in _orbit_representatives(cells, q, p)
+        ])
+    if enumerated != predicted:
         raise GroupOrderError(
-            f"enumerated {len(cells)} characters, but |det A| / d = {predicted}"
+            f"enumerated {enumerated} characters, but |det A| / d = {predicted}"
         )
-    return _count_orbits(cells, modulus)
+    count = 0
+    for combination in product(*parts):
+        m = 1
+        size = 1
+        x0 = x1 = x2 = x3 = 0
+        for (c0, c1, c2, c3), order, orbit_size in combination:
+            m *= order
+            size *= orbit_size
+            x0 += c0
+            x1 += c1
+            x2 += c2
+            x3 += c3
+        # x has order m, so its coordinates are multiples of modulus/m.
+        scale = modulus // m
+        cell = ((x0 % modulus) // scale, (x1 % modulus) // scale,
+                (x2 % modulus) // scale, (x3 % modulus) // scale)
+        if _admissible(cell, m):
+            count += size
+    return count

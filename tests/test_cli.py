@@ -5,6 +5,8 @@ import sys
 import time
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import delsarte
 from delsarte import lattice
@@ -45,6 +47,49 @@ def test_parse_polynomial_errors():
     assert err.value.position is not None
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1 + z + X^3 + Y^2")
+
+
+def test_parse_polynomial_accepts_ascii_digits_only():
+    # str.isdigit() accepts both; int() rejects the superscript and reads the Arabic-Indic 3.
+    for text in ("1 + t^\u00b2 X^3 + X^3 + Y^2", "1 + t^\u0663 + X^3 + Y^2"):
+        with pytest.raises(PolynomialSyntaxError) as err:
+            parse_polynomial(text)
+        assert err.value.position == 6
+    with pytest.raises(PolynomialSyntaxError):
+        parse_polynomial("1 + t^" + "9" * 5000 + " + X^3 + Y^2")
+
+
+# Non-ASCII digits (superscript two, Arabic-Indic three, fullwidth three) and other strays.
+_POLY_CHARS = list("tXY^*+ 0123456789") + ["\u00b2", "\u0663", "\uff13", "\n", "z", "-", "("]
+_FACTOR = st.one_of(
+    st.just("1"),
+    st.builds(
+        str.__add__,
+        st.sampled_from(["t", "X", "Y"]),
+        st.sampled_from(["", "^0", "^1", "^2", "^3", "^6", "^12", "^\u00b2"]),
+    ),
+)
+_TERM = st.builds(str.join, st.sampled_from(["*", " ", ""]), st.lists(_FACTOR, min_size=1, max_size=3))
+_POLY_TEXT = st.one_of(
+    # Code points below U+0800 (Latin-1, Greek, Cyrillic, Arabic and its
+    # digits), drawn from a list: st.characters() makes hypothesis build its
+    # Unicode category table on first use, 2-3 s.
+    st.text(st.sampled_from([chr(c) for c in range(0x800)])),
+    st.text(st.sampled_from(_POLY_CHARS)),
+    st.lists(_TERM, min_size=4, max_size=4).map(" + ".join),
+)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_POLY_TEXT)
+def test_parse_polynomial_yields_terms_or_syntax_error(text):
+    try:
+        terms = parse_polynomial(text)
+    except PolynomialSyntaxError:
+        return
+    assert len(terms) == 4 and len(set(terms)) == 4
+    assert all(type(e) is int and e >= 0 for term in terms for e in term)
+    assert all(len(term) == 3 for term in terms)
 
 
 def test_rank_command(capsys):

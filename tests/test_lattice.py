@@ -174,3 +174,15 @@ def test_lefschetz_checks_enumerated_order(monkeypatch):
     monkeypatch.setattr(lattice, "group_order", lambda m: true_order + 1)
     with pytest.raises(GroupOrderError):
         lefschetz_number(matrix)
+
+
+def test_lefschetz_matches_closed_forms_at_large_n(catalog):
+    # n = div * k for k = 1..16 reaches |L| = 80640 (1b at n = 13440).
+    checked = 0
+    for rep_id, rep in catalog.representatives.items():
+        for k in range(1, 17):
+            n = rep.divisibility * k
+            lam = lefschetz_number(homogenize(catalog.family_terms(rep_id, n)))
+            assert lam == rep.lambda_formula.eval_int(n), (rep_id, n, lam)
+            checked += 1
+    assert checked == 176

@@ -1,9 +1,16 @@
 import random
+from math import prod
 
 import pytest
 
 from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
-from delsarte.lattice import _coset_cells, _count_orbits, _generator_cells, _numerators
+from delsarte.lattice import (
+    _coset_cells,
+    _generator_cells,
+    _numerators,
+    _orbit_representatives,
+    _p_parts,
+)
 from delsarte.oracles import (
     brute_lambda,
     class_census,
@@ -78,9 +85,30 @@ def test_adjugate_generators_match_gauss_jordan(catalog):
         assert lattice_generators(matrix) == reference, matrix.rows
 
 
-def test_orbit_count_matches_full_scan():
-    for matrix, cells, modulus in _random_groups(31):
-        assert _count_orbits(cells, modulus) == scan_lambda(cells, modulus), matrix.rows
+def _random_closures(seed, count=400):
+    """(matrix, BFS closure of the Gauss-Jordan generators, modulus), exponents < 9."""
+    rng = random.Random(seed)
+    for _ in range(count):
+        matrix = random_matrix(rng, max_exp=8)
+        closure, modulus = closure_cells(gauss_jordan_generators(matrix))
+        yield matrix, closure, modulus
+
+
+def test_lefschetz_matches_full_scan_of_closure():
+    for matrix, closure, modulus in _random_closures(31):
+        assert lefschetz_number(matrix) == scan_lambda(closure, modulus), matrix.rows
+
+
+def test_p_parts_multiply_to_group_order():
+    for matrix, closure, _ in _random_closures(43):
+        parts = _p_parts(*_generator_cells(matrix))
+        assert prod(len(cells) for _, _, cells in parts) == group_order(matrix), matrix.rows
+        assert group_order(matrix) == len(closure), matrix.rows
+        for q, p, cells in parts:
+            assert len(set(cells)) == len(cells), (matrix.rows, q)
+            # The orbits partition L_p.
+            sizes = [size for _, _, size in _orbit_representatives(cells, q, p)]
+            assert sum(sizes) == len(cells), (matrix.rows, q)
 
 
 def test_coset_enumeration_matches_closure():
