@@ -15,6 +15,7 @@ from __future__ import annotations
 import re
 from dataclasses import dataclass
 from fractions import Fraction
+from math import lcm
 from pathlib import Path
 
 from .errors import CatalogError, DivisibilityError
@@ -28,19 +29,30 @@ DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
 
 @dataclass(frozen=True)
 class Affine:
-    """Affine function const + slope*n of the family parameter."""
+    """Affine function const + slope*n of the family parameter.
+
+    The integer numerators of const and slope over their least common
+    denominator are computed once on construction and stored outside the
+    dataclass fields, so eval_int builds no Fraction.
+    """
 
     const: Fraction = Fraction(0)
     slope: Fraction = Fraction(0)
+
+    def __post_init__(self):
+        den = lcm(self.const.denominator, self.slope.denominator)
+        object.__setattr__(self, "_den", den)
+        object.__setattr__(self, "_const_num", self.const.numerator * (den // self.const.denominator))
+        object.__setattr__(self, "_slope_num", self.slope.numerator * (den // self.slope.denominator))
 
     def value(self, n) -> Fraction:
         return self.const + self.slope * n
 
     def eval_int(self, n) -> int:
-        value = self.value(n)
-        if value.denominator != 1:
+        value, rest = divmod(self._const_num + self._slope_num * n, self._den)
+        if rest:
             raise ValueError(f"{self} is not an integer at n={n}")
-        return int(value)
+        return value
 
     def __str__(self):
         parts = []
@@ -97,6 +109,10 @@ def _tokenize(text: str):
     return tokens
 
 
+#: Deepest parenthesis nesting PolyExpr accepts; the parser recurses once per level.
+MAX_NESTING = 32
+
+
 class PolyExpr:
     """A parsed closed-form polynomial in t with exponents affine in n."""
 
@@ -104,12 +120,13 @@ class PolyExpr:
         self.text = text
         tokens = _tokenize(text)
         self._pos = 0
+        self._depth = 0
         self._tokens = tokens
         node = self._expr()
         if self._pos != len(tokens):
             raise ValueError(f"trailing input in {text!r}")
         self._node = node
-        del self._pos, self._tokens
+        del self._pos, self._depth, self._tokens
 
     def _peek(self):
         return self._tokens[self._pos] if self._pos < len(self._tokens) else None
@@ -149,8 +166,12 @@ class PolyExpr:
         tok = self._peek()
         if tok == "(":
             self._take()
+            self._depth += 1
+            if self._depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} in {self.text!r}")
             node = self._expr()
             self._take(")")
+            self._depth -= 1
             return node
         if tok == "t":
             self._take()
@@ -161,8 +182,8 @@ class PolyExpr:
                 den = self._take()
                 if not den.isdigit():
                     raise ValueError(f"bad rational in {self.text!r}")
-                return ("num", Fraction(int(tok), int(den)))
-            return ("num", Fraction(int(tok)))
+                return ("num", SparsePoly(Fraction(int(tok), int(den))))
+            return ("num", SparsePoly(int(tok)))
         raise ValueError(f"unexpected token {tok!r} in {self.text!r}")
 
     def _exponent(self):
@@ -198,7 +219,8 @@ class PolyExpr:
     def _eval(self, node, n):
         kind = node[0]
         if kind == "num":
-            return SparsePoly(node[1])
+            # Built once by the parser; ring operations never mutate a SparsePoly.
+            return node[1]
         if kind == "t":
             return SparsePoly.monomial(node[1].eval_int(n))
         if kind == "neg":
@@ -467,7 +489,7 @@ class Catalog:
 
 def _parse_record(kind, fields, line_no):
     def need(key):
-        if key not in fields:
+        if not fields.get(key):
             raise CatalogError(f"{kind} record missing {key}=", line_no)
         return fields[key]
 
@@ -489,9 +511,12 @@ def _parse_record(kind, fields, line_no):
         unknown = set(fields) - _REP_FIELDS
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)}")
+        divisibility = int(need("div"))
+        if divisibility < 1:
+            raise ValueError(f"div={divisibility} is not a positive integer")
         return Representative(
             id=need("id"),
-            divisibility=int(need("div")),
+            divisibility=divisibility,
             lambda_formula=parse_affine(need("lambda")),
             fibers=_parse_fibers(need("fibers")),
             a=PolyExpr(need("a")),
@@ -516,8 +541,10 @@ def load_catalog(path=None) -> Catalog:
     path = Path(path) if path is not None else DEFAULT_CATALOG
     rows: dict[str, FamilyRow] = {}
     reps: dict[str, Representative] = {}
-    row_lines: dict[str, int] = {}
-    for line_no, raw in enumerate(path.read_text().splitlines(), start=1):
+    record_lines: dict[tuple[str, str], int] = {}
+    # Split at newlines only: str.splitlines also breaks at form feeds, U+2028
+    # and other separators, which would shift every later line number.
+    for line_no, raw in enumerate(path.read_text().split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -538,8 +565,7 @@ def load_catalog(path=None) -> Catalog:
         if record.id in target:
             raise CatalogError(f"duplicate {kind} id {record.id!r}", line_no)
         target[record.id] = record
-        if kind == "family":
-            row_lines[record.id] = line_no
+        record_lines[kind, record.id] = line_no
 
     if len(rows) != 42:
         raise CatalogError(f"expected 42 family rows, found {len(rows)}")
@@ -548,7 +574,7 @@ def load_catalog(path=None) -> Catalog:
 
     catalog = Catalog(rows, reps)
     for row in rows.values():
-        line_no = row_lines[row.id]
+        line_no = record_lines["family", row.id]
         if row.rep not in reps:
             raise CatalogError(f"row {row.id}: unknown representative {row.rep!r}", line_no)
         try:
@@ -578,5 +604,8 @@ def load_catalog(path=None) -> Catalog:
             )
     for rep_id in reps:
         if rep_id not in rows:
-            raise CatalogError(f"representative {rep_id!r} has no family row")
+            raise CatalogError(
+                f"representative {rep_id!r} has no family row",
+                record_lines["representative", rep_id],
+            )
     return catalog

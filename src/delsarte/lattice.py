@@ -223,18 +223,24 @@ def _orbit_representatives(cells, q, p):
 def _admissible(cell, m) -> bool:
     """Admissibility of the character cell/m of order m.
 
-    False when a coordinate is zero. Otherwise the units t of Z/m are
-    scanned upward, and the answer is True at the first t whose lifts
-    <t*c_i/m> do not sum to 2 (integer compare: residues against 2m).
+    False when a coordinate is zero. Otherwise the units t <= m // 2 of
+    Z/m are scanned upward, and the answer is True at the first t whose
+    lifts <t*c_i/m> do not sum to 2 (integer compare: residues against 2m).
+
+    Half the units suffice. With every c_i nonzero mod m and t a unit,
+    every t*c_i is nonzero mod m, so <-t*c_i/m> = 1 - <t*c_i/m> and the
+    lifts at m - t sum to 4 minus the lifts at t: one sum is 2 exactly
+    when the other is. For m > 2 the units pair off as t and m - t with
+    exactly one of each pair at most m // 2; for m = 2 the only unit is 1.
     """
     if 0 in cell:
         return False
     c0, c1, c2, c3 = cell
     twice = 2 * m
-    return any(
-        (t * c0) % m + (t * c1) % m + (t * c2) % m + (t * c3) % m != twice
-        for t in range(1, m) if gcd(t, m) == 1
-    )
+    for t in range(1, m // 2 + 1):
+        if gcd(t, m) == 1 and (t * c0) % m + (t * c1) % m + (t * c2) % m + (t * c3) % m != twice:
+            return True
+    return False
 
 
 @dataclass(frozen=True)

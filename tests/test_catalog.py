@@ -1,6 +1,8 @@
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from delsarte import discriminant, j_invariant, load_catalog
 from delsarte.catalog import DEFAULT_CATALOG, Affine, PolyExpr, parse_affine
@@ -178,6 +180,27 @@ def test_wrong_polygon_label_rejected(tmp_path):
     assert "classifies" in str(err.value)
 
 
+@pytest.mark.parametrize(
+    "old, new, line",
+    [
+        # a zero divisibility would reach `n % div` in the row checks
+        ("representative id=1a div=360", "representative id=1a div=0", 86),
+        ("representative id=1a div=360", "representative id=1a div=-360", 86),
+        # unbounded nesting would exhaust the recursive-descent parser's stack
+        ("b=1+t^n ", "b=" + "(" * 400 + "1" + ")" * 400 + " ", 86),
+        ("family id=1a terms", "family id= terms", 27),
+        # row 11 renamed: representative 11 is left without a row of its id
+        ("family id=11 terms", "family id=13 terms", 95),
+    ],
+    ids=["div-zero", "div-negative", "deep-nesting", "empty-id", "orphan-representative"],
+)
+def test_bad_record_rejected_at_its_line(tmp_path, old, new, line):
+    path = _mutated_catalog(tmp_path, old, new)
+    with pytest.raises(CatalogError) as err:
+        load_catalog(path)
+    assert err.value.line == line
+
+
 def test_missing_row_rejected(tmp_path):
     text = DEFAULT_CATALOG.read_text()
     lines = [line for line in text.splitlines() if not line.startswith("family id=5j")]
@@ -186,3 +209,77 @@ def test_missing_row_rejected(tmp_path):
     with pytest.raises(CatalogError) as err:
         load_catalog(path)
     assert "42" in str(err.value)
+
+
+_CATALOG_LINES = DEFAULT_CATALOG.read_text().split("\n")
+# Characters of the catalog grammar, then strays: separators that str.splitlines
+# breaks lines at but a text editor does not, a tab, NUL, and non-ASCII
+# letters and digits. Newlines are left out, so line numbers stay put.
+_MUTATION_CHARS = list("familyrepsntv=();:,/*^+-#0123456789 I") + [
+    "\x0b", "\x0c", "\x1c", "\x1e", "\x85", "\u2028", "\u2029",
+    "\t", "\x00", "\u00e9", "\u00b2", "\u0663",
+]
+
+
+_RECORD_INDICES = [
+    i for i, line in enumerate(_CATALOG_LINES) if line.startswith(("family", "representative"))
+]
+# Field values at the edges of the grammar: zero and negative parameters,
+# zero denominators, deep nesting, and integers past the int-from-str limit.
+_HOSTILE_VALUES = [
+    "", "0", "-1", "-360", "1/0", "n/0", "0n", "t^(n/0)", "x", "n^2", "=",
+    "(" * 400 + "1" + ")" * 400, "9" * 5000, "I(0):0", "II", "(t:n,x:0,y:0)",
+]
+
+
+@st.composite
+def _mutated_line(draw):
+    """(line index, new text): a slice of a line rewritten, or a record's field value replaced."""
+    if draw(st.booleans()):
+        index = draw(st.integers(0, len(_CATALOG_LINES) - 1))
+        line = _CATALOG_LINES[index]
+        start = draw(st.integers(0, len(line)))
+        stop = draw(st.integers(start, min(len(line), start + 12)))
+        insert = draw(st.text(st.sampled_from(_MUTATION_CHARS), max_size=12))
+        return index, line[:start] + insert + line[stop:]
+    index = draw(st.sampled_from(_RECORD_INDICES))
+    tokens = _CATALOG_LINES[index].split()
+    field = draw(st.integers(1, len(tokens) - 1))
+    key = tokens[field].split("=", 1)[0]
+    tokens[field] = key + "=" + draw(st.sampled_from(_HOSTILE_VALUES))
+    return index, " ".join(tokens)
+
+
+@pytest.fixture(scope="module")
+def fuzz_dir(tmp_path_factory):
+    return tmp_path_factory.mktemp("fuzz")
+
+
+def _load_error(path, lines):
+    path.write_text("\n".join(lines))
+    try:
+        load_catalog(path)
+    except CatalogError as err:
+        return err
+    return None
+
+
+@settings(derandomize=True, max_examples=200, deadline=None, database=None)
+@given(_mutated_line())
+def test_mutated_catalog_loads_or_names_its_line(fuzz_dir, mutation):
+    # A record that fails to parse on its own (alone in a file, where the
+    # only other error is the row count) must be reported at its own line;
+    # the lines before it are untouched, so no earlier error can come first.
+    index, line = mutation
+    own = _load_error(fuzz_dir / "alone.cat", [line])
+    parses = own.line is None
+    lines = list(_CATALOG_LINES)
+    lines[index] = line
+    err = _load_error(fuzz_dir / "families.cat", lines)
+    if not parses:
+        assert own.line == 1, own
+        assert err is not None and err.line == index + 1, err
+    elif err is not None and err.line is None:
+        assert str(err).startswith("expected "), err
+    elif err is not None:
+        assert lines[err.line - 1].split("#", 1)[0].strip(), err

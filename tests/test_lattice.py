@@ -186,3 +186,29 @@ def test_lefschetz_matches_closed_forms_at_large_n(catalog):
             assert lam == rep.lambda_formula.eval_int(n), (rep_id, n, lam)
             checked += 1
     assert checked == 176
+
+
+def test_admissible_half_scan_matches_naive_member():
+    # Every cell over m = 1..4, then random cells over m = 5..60, a quarter
+    # of them with a zero coordinate forced in.
+    import itertools
+    import random
+
+    from delsarte.oracles import _naive_member
+
+    cases = [
+        (cell, m) for m in (1, 2, 3, 4) for cell in itertools.product(range(m), repeat=4)
+    ]
+    rng = random.Random(60)
+    while len(cases) < 2000:
+        m = rng.randrange(5, 61)
+        cell = [rng.randrange(m) for _ in range(4)]
+        if rng.random() < 0.25:
+            cell[rng.randrange(4)] = 0
+        cases.append((tuple(cell), m))
+    admissible = 0
+    for cell, m in cases:
+        verdict = lattice._admissible(cell, m)
+        assert verdict == _naive_member(tuple(F(c, m) for c in cell)), (cell, m)
+        admissible += verdict
+    assert 0 < admissible < len(cases)

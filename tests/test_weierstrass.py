@@ -58,3 +58,103 @@ def test_j_denominator_is_discriminant():
     curve = WeierstrassData(T(4), SparsePoly(1))
     _, den = j_invariant(curve)
     assert -16 * den == discriminant(curve)
+
+
+# --- dense reference polynomials --------------------------------------------
+# A polynomial as a list of Fraction coefficients indexed by exponent, with
+# no trailing zeros; built with none of SparsePoly's code.
+
+def _dense(poly):
+    out = []
+    for exp, coeff in poly.items():
+        out += [F(0)] * (exp + 1 - len(out))
+        out[exp] = F(coeff)
+    return out
+
+
+def _trim(coeffs):
+    coeffs = list(coeffs)
+    while coeffs and coeffs[-1] == 0:
+        coeffs.pop()
+    return coeffs
+
+
+def _dense_add(p, q, sign=1):
+    size = max(len(p), len(q))
+    p = p + [F(0)] * (size - len(p))
+    q = q + [F(0)] * (size - len(q))
+    return _trim(a + sign * b for a, b in zip(p, q))
+
+
+def _dense_mul(p, q):
+    out = [F(0)] * max(len(p) + len(q) - 1, 0)
+    for i, a in enumerate(p):
+        for j, b in enumerate(q):
+            out[i + j] += a * b
+    return _trim(out)
+
+
+def _dense_pow(p, power):
+    out = [F(1)]
+    for _ in range(power):
+        out = _dense_mul(out, p)
+    return out
+
+
+_COEFFS = (1, -1, 2, -3, 6, F(1, 3), F(-1, 3), F(2, 27), F(-22, 9), F(3, 2), F(-3, 1))
+
+
+def _random_terms(rng, like=None):
+    """Up to 4 terms of degree <= 5; with `like`, half the terms cancel against it."""
+    terms = {}
+    if like is not None:
+        for exp, coeff in like.items():
+            if rng.random() < 0.5:
+                terms[exp] = -coeff
+    for _ in range(rng.randrange(0, 4)):
+        terms[rng.randrange(0, 6)] = rng.choice(_COEFFS)
+    return terms
+
+
+def _assert_canonical(poly):
+    for _, coeff in poly.items():
+        assert coeff != 0
+        assert type(coeff) is int or coeff.denominator != 1, coeff
+
+
+def test_sparse_poly_against_dense_reference():
+    import random
+
+    rng = random.Random(20)
+    for _ in range(300):
+        p = SparsePoly(_random_terms(rng))
+        q = SparsePoly(_random_terms(rng, like=p))
+        dp, dq = _dense(p), _dense(q)
+        scalar = rng.choice(_COEFFS + (0,))
+        results = [
+            (p + q, _dense_add(dp, dq)),
+            (p - q, _dense_add(dp, dq, sign=-1)),
+            (-p, _dense_add([], dp, sign=-1)),
+            (p * q, _dense_mul(dp, dq)),
+            (p * scalar, _dense_mul(dp, [F(scalar)])),
+            (scalar * q, _dense_mul([F(scalar)], dq)),
+            (p + scalar, _dense_add(dp, [F(scalar)])),
+            (scalar - q, _dense_add([F(scalar)], dq, sign=-1)),
+        ]
+        results += [(p ** k, _dense_pow(dp, k)) for k in range(7)]
+        for poly, reference in results:
+            _assert_canonical(poly)
+            assert _dense(poly) == _trim(reference), (p, q, scalar, poly)
+            assert poly == SparsePoly(dict(enumerate(reference)))
+
+
+def test_sparse_poly_stores_integral_coefficients_as_int():
+    three = SparsePoly({0: F(3)})
+    assert three == SparsePoly({0: 3}) and hash(three) == hash(SparsePoly({0: 3}))
+    assert repr(three) == "SparsePoly(3)"
+    assert type(three.items()[0][1]) is int
+    assert SparsePoly({0: 3}) == 3 == SparsePoly({0: F(6, 2)})
+    third = SparsePoly({1: F(1, 3)})
+    for poly in (third * 3, third + third + third, third * F(3), (3 * third) ** 2):
+        _assert_canonical(poly)
+    assert (third * 3).items() == [(1, 1)]
