@@ -10,7 +10,6 @@ of these families (42 rows, 11 representatives) and reproduces their
 maximal ranks, the largest being 68.
 """
 
-from ._kernels import HAVE_COMPILED, implementation as kernel_implementation
 from .catalog import (
     Catalog,
     FamilyRow,
@@ -24,8 +23,6 @@ from .exact import qz, qz_add, qz_lift, qz_order, qz_scale
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import (
     ExponentMatrix,
-    LatticeGroup,
-    enumerate_group,
     group_order,
     homogenize,
     in_lambda,
@@ -53,9 +50,7 @@ __all__ = [
     "DelsarteError",
     "ExponentMatrix",
     "FamilyRow",
-    "HAVE_COMPILED",
     "Kodaira",
-    "LatticeGroup",
     "PolygonClass",
     "RankReport",
     "Representative",
@@ -66,7 +61,6 @@ __all__ = [
     "classify_one_interior",
     "convex_hull",
     "discriminant",
-    "enumerate_group",
     "enumerate_one_interior_classes",
     "euler_number",
     "genus_of_support",
@@ -75,7 +69,6 @@ __all__ = [
     "in_lambda",
     "integral_equivalence",
     "j_invariant",
-    "kernel_implementation",
     "lattice_counts",
     "lattice_generators",
     "lefschetz_number",

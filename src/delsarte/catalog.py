@@ -111,6 +111,9 @@ def _tokenize(text: str):
 
 #: Deepest parenthesis nesting PolyExpr accepts; the parser recurses once per level.
 MAX_NESTING = 32
+#: Largest power PolyExpr accepts (the bundled catalog's largest is 6); the
+#: cost of a power grows about fivefold per doubling.
+MAX_POWER = 12
 
 
 class PolyExpr:
@@ -139,19 +142,20 @@ class PolyExpr:
         return tok
 
     def _expr(self):
-        node = ("neg", self._term()) if self._try("-") else self._term()
+        # A +/- chain is one flat node, so evaluating it needs no recursion
+        # per term.
+        terms = [(-1 if self._try("-") else 1, self._term())]
         while self._peek() in ("+", "-"):
-            if self._take() == "+":
-                node = ("add", node, self._term())
-            else:
-                node = ("sub", node, self._term())
-        return node
+            terms.append((1 if self._take() == "+" else -1, self._term()))
+        if len(terms) == 1 and terms[0][0] == 1:
+            return terms[0][1]
+        return ("sum", terms)
 
     def _term(self):
-        node = self._factor()
+        factors = [self._factor()]
         while self._try("*"):
-            node = ("mul", node, self._factor())
-        return node
+            factors.append(self._factor())
+        return factors[0] if len(factors) == 1 else ("prod", factors)
 
     def _factor(self):
         node = self._base()
@@ -159,6 +163,8 @@ class PolyExpr:
             power = self._take()
             if not power.isdigit():
                 raise ValueError(f"non-integer power in {self.text!r}")
+            if int(power) > MAX_POWER:
+                raise ValueError(f"power {power} above the cap of {MAX_POWER} in {self.text!r}")
             node = ("pow", node, int(power))
         return node
 
@@ -223,14 +229,14 @@ class PolyExpr:
             return node[1]
         if kind == "t":
             return SparsePoly.monomial(node[1].eval_int(n))
-        if kind == "neg":
-            return -self._eval(node[1], n)
-        if kind == "add":
-            return self._eval(node[1], n) + self._eval(node[2], n)
-        if kind == "sub":
-            return self._eval(node[1], n) - self._eval(node[2], n)
-        if kind == "mul":
-            return self._eval(node[1], n) * self._eval(node[2], n)
+        if kind == "sum":
+            return SparsePoly.signed_sum((sign, self._eval(term, n)) for sign, term in node[1])
+        if kind == "prod":
+            factors = node[1]
+            result = self._eval(factors[0], n)
+            for factor in factors[1:]:
+                result = result * self._eval(factor, n)
+            return result
         if kind == "pow":
             return self._eval(node[1], n) ** node[2]
         raise AssertionError(f"unknown node {kind}")

@@ -119,16 +119,6 @@ def lattice_generators(matrix: ExponentMatrix) -> tuple[QZVec4, QZVec4, QZVec4]:
 MAX_GROUP_ORDER = 10**6
 
 
-def _numerators(generators):
-    """Generators reduced into [0, 1) as numerator 4-tuples over their common denominator.
-
-    Returns (numerator tuples, modulus); cell[i]/modulus is the i-th coordinate.
-    """
-    modulus = lcm(*(f.denominator for g in generators for f in g))
-    cells = [tuple(int(f * modulus) for f in g) for g in generators]
-    return cells, modulus
-
-
 def _divisors(n: int) -> list[int]:
     """The positive divisors of n, ascending."""
     small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
@@ -241,25 +231,6 @@ def _admissible(cell, m) -> bool:
         if gcd(t, m) == 1 and (t * c0) % m + (t * c1) % m + (t * c2) % m + (t * c3) % m != twice:
             return True
     return False
-
-
-@dataclass(frozen=True)
-class LatticeGroup:
-    """A finite subgroup of (Q/Z)^4 together with its generating set."""
-
-    generators: tuple[QZVec4, ...]
-    elements: frozenset
-
-
-def enumerate_group(generators) -> LatticeGroup:
-    """The full finite subgroup generated by the given vectors."""
-    generators = tuple(qzvec(g) for g in generators)
-    gen_cells, modulus = _numerators(generators)
-    elements = frozenset(
-        tuple(Fraction(c, modulus) for c in cell)
-        for cell in _coset_cells(gen_cells, modulus)
-    )
-    return LatticeGroup(generators, elements)
 
 
 def in_lambda(vector) -> bool:

@@ -4,18 +4,20 @@ Everything here deliberately uses the naive formulation — generators
 from a Fraction Gauss-Jordan inverse, full product enumeration of the
 character group, breadth-first closure of its generators, full
 multiplier scans of every element, bounding-box scans for lattice
-points, trial-division primes — so a bug shared with the optimized
-paths is implausible. Slow by design; used by the test suite and
-`delsarte verify`. Only brute_lambda needs numpy, and imports it itself.
+points, an exhaustive subset scan for the polygon census, trial-division
+primes — so a bug shared with the optimized paths is implausible. Slow
+by design; used by the test suite and `delsarte verify`.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from itertools import combinations
 from math import gcd, lcm
 
+from .errors import GroupTooLargeError
 from .exact import mat4_inverse, row_vec_apply
-from .lattice import ExponentMatrix
+from .lattice import MAX_GROUP_ORDER, ExponentMatrix, group_order
 from .polygon import lattice_counts, polygon_edges
 from . import polygon as _polygon
 
@@ -49,46 +51,42 @@ def gauss_jordan_generators(matrix: ExponentMatrix):
     )
 
 
-def brute_lambda(matrix: ExponentMatrix) -> int:
-    """Lefschetz number by exhaustive triple-product enumeration.
+def _numerators(generators):
+    """Generators as numerator 4-tuples over their common denominator.
 
-    Walks i, j, k over the full order ranges of the Gauss-Jordan
-    generators, sums i*g0 + j*g1 + k*g2 for every triple with numpy,
-    deduplicates the sums by one integer key per element, and counts
-    members with the naive Fraction scan. numpy is imported here, the
-    only place that needs it, so it stays out of the CLI's import path.
+    Returns (numerator tuples, modulus); cell[i]/modulus is the i-th
+    coordinate, reduced into [0, 1).
     """
-    import numpy as np
+    modulus = lcm(*(Fraction(f).denominator for g in generators for f in g))
+    cells = [tuple(int(Fraction(f) * modulus) % modulus for f in g) for g in generators]
+    return cells, modulus
 
-    gens = gauss_jordan_generators(matrix)
-    modulus = lcm(*(f.denominator for g in gens for f in g))
-    # The key ((c0*m + c1)*m + c2)*m + c3 of a cell must fit in an int64.
-    if modulus**4 >= 2**63:
-        raise ValueError(f"modulus {modulus} too large for int64 cell keys")
-    scaled = [np.array([int(f * modulus) for f in g], dtype=np.int64) for g in gens]
-    orders = [_vector_order(g) for g in gens]
 
-    # i runs over the outer generator; the inner two are materialized once.
-    inner = (
-        np.arange(orders[1], dtype=np.int64)[:, None, None] * scaled[1][None, None, :]
-        + np.arange(orders[2], dtype=np.int64)[None, :, None] * scaled[2][None, None, :]
-    ) % modulus
-    inner = inner.reshape(-1, 4)
-    blocks = []
-    for i in range(orders[0]):
-        c0, c1, c2, c3 = ((inner + i * scaled[0]) % modulus).T
-        blocks.append(np.unique(((c0 * modulus + c1) * modulus + c2) * modulus + c3))
-    keys = np.unique(np.concatenate(blocks))
+def brute_lambda(matrix: ExponentMatrix) -> int:
+    """Lefschetz number by exhaustive product enumeration and a full scan.
 
-    count = 0
-    for key in keys.tolist():
-        key, c3 = divmod(key, modulus)
-        key, c2 = divmod(key, modulus)
-        c0, c1 = divmod(key, modulus)
-        vec = tuple(Fraction(c, modulus) for c in (c0, c1, c2, c3))
-        if _naive_member(vec):
-            count += 1
-    return count
+    Adds every multiple of each Gauss-Jordan generator in turn to the
+    set of cells built so far, so the set ends as the whole group L, and
+    counts its admissible members with scan_lambda. Raises
+    GroupTooLargeError when |det A| / d exceeds MAX_GROUP_ORDER, before
+    anything is enumerated.
+    """
+    predicted = group_order(matrix)
+    if predicted > MAX_GROUP_ORDER:
+        raise GroupTooLargeError(
+            f"character group has {predicted} elements, above the cap of {MAX_GROUP_ORDER}"
+        )
+    gen_cells, modulus = _numerators(gauss_jordan_generators(matrix))
+    cells = {(0, 0, 0, 0)}
+    for gen in gen_cells:
+        order = modulus // gcd(modulus, *gen)
+        multiples = [tuple((j * g) % modulus for g in gen) for j in range(order)]
+        cells = {
+            tuple((c + m) % modulus for c, m in zip(cell, multiple))
+            for cell in cells
+            for multiple in multiples
+        }
+    return scan_lambda(cells, modulus)
 
 
 def closure_cells(generators):
@@ -98,8 +96,7 @@ def closure_cells(generators):
     coordinate and the modulus is the common denominator of the
     generators. Oracle for the coset enumeration of lattice.py.
     """
-    modulus = lcm(*(Fraction(f).denominator for g in generators for f in g))
-    gen_cells = [tuple(int(Fraction(f) * modulus) % modulus for f in g) for g in generators]
+    gen_cells, modulus = _numerators(generators)
     zero = (0, 0, 0, 0)
     seen = {zero}
     frontier = [zero]
@@ -184,6 +181,66 @@ def interior_scan(polygon):
     """(interior count, boundary count) by bounding-box scan."""
     interior, boundary = scan_points(polygon)
     return len(interior), len(boundary)
+
+
+def _strict_hull(points):
+    # Monotone chain over lexicographically pre-sorted points; collinear
+    # middle points are dropped, so the result holds corners only,
+    # counterclockwise, starting at the lexicographic minimum.
+    lower = []
+    for p in points:
+        while (
+            len(lower) >= 2
+            and (lower[-1][0] - lower[-2][0]) * (p[1] - lower[-2][1])
+            - (lower[-1][1] - lower[-2][1]) * (p[0] - lower[-2][0])
+            <= 0
+        ):
+            lower.pop()
+        lower.append(p)
+    upper = []
+    for p in reversed(points):
+        while (
+            len(upper) >= 2
+            and (upper[-1][0] - upper[-2][0]) * (p[1] - upper[-2][1])
+            - (upper[-1][1] - upper[-2][1]) * (p[0] - upper[-2][0])
+            <= 0
+        ):
+            upper.pop()
+        upper.append(p)
+    return lower[:-1] + upper[:-1]
+
+
+def one_interior_polygons(bound):
+    """Strictly convex vertex sets in [0, bound]^2 with one interior point.
+
+    Scans every subset of 3..6 lattice points, keeps those that are
+    exactly the corner set of their hull and enclose exactly one interior
+    lattice point, and dedupes by translation. Returns sorted canonical
+    counterclockwise vertex tuples in default position. Oracle for the
+    pruned census search of polygon.py, with its own hull and no pruning.
+    """
+    pts = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
+    found = set()
+    for size in (3, 4, 5, 6):
+        for combo in combinations(pts, size):
+            hull = _strict_hull(combo)
+            if len(hull) != size:
+                continue
+            area2 = 0
+            boundary = 0
+            for i in range(size):
+                x1, y1 = hull[i]
+                x2, y2 = hull[(i + 1) % size]
+                area2 += x1 * y2 - x2 * y1
+                boundary += gcd(abs(x2 - x1), abs(y2 - y1))
+            # Pick: interior = (2*area - boundary + 2) / 2, so exactly one
+            # interior point means 2*area == boundary.
+            if area2 != boundary:
+                continue
+            minx = min(p[0] for p in hull)
+            miny = min(p[1] for p in hull)
+            found.add(tuple((x - minx, y - miny) for x, y in hull))
+    return sorted(found)
 
 
 def _primes_up_to(limit: int):

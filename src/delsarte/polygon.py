@@ -13,7 +13,6 @@ from fractions import Fraction
 from functools import lru_cache
 from math import gcd
 
-from . import _kernels
 from .errors import (
     ClassificationError,
     DegenerateSupportError,
@@ -208,9 +207,49 @@ def _dedupe_by_equivalence(polygons):
     return representatives
 
 
+#: Most corners a polygon with exactly one interior lattice point can have.
+_MAX_CORNERS = 6
+
+
+def _census_search(bound: int):
+    """Strictly convex vertex sets in [0, bound]^2 with one interior point.
+
+    Depth-first over point sets in lexicographic order whose first point
+    lies on x = 0, which reaches a translate of every set. A branch stops
+    as soon as its points are not in strictly convex position or their
+    hull has more than one interior point: adding points undoes neither.
+    Returns sorted default-position hulls, counterclockwise from their
+    lexicographically smallest corner.
+    """
+    points = [(x, y) for x in range(bound + 1) for y in range(bound + 1)]
+    found = set()
+
+    def extend(chosen, start):
+        for i in range(start, len(points)):
+            candidate = chosen + [points[i]]
+            if len(candidate) >= 3:
+                try:
+                    hull = convex_hull(candidate)
+                except DegenerateSupportError:
+                    continue
+                if len(hull) != len(candidate):
+                    continue
+                interior = lattice_counts(hull)[0]
+                if interior > 1:
+                    continue
+                if interior == 1:
+                    found.add(to_default_position(hull))
+            if len(candidate) < _MAX_CORNERS:
+                extend(candidate, i + 1)
+
+    for first in range(bound + 1):  # the points (0, y)
+        extend([points[first]], first + 1)
+    return sorted(found)
+
+
 @lru_cache(maxsize=4)
 def _census_representatives(bound: int):
-    candidates = _kernels.one_interior_polygons(bound)
+    candidates = _census_search(bound)
     candidates.sort(key=lambda poly: (len(poly), poly))
     return _dedupe_by_equivalence(candidates)
 
@@ -260,7 +299,7 @@ def classify_one_interior(polygon: Polygon) -> PolygonClass:
 def enumerate_one_interior_classes(bound: int):
     """Census of one-interior-point polygon classes inside [0, bound]^2.
 
-    Exhaustive over vertex subsets of size 3..6; each class is returned
+    A pruned search over vertex sets of size 3..6; each class is returned
     once with the label it carries in the canonical classification.
     """
     if bound < 4:

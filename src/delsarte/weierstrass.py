@@ -81,6 +81,15 @@ class SparsePoly:
 
     __radd__ = __add__
 
+    @staticmethod
+    def signed_sum(terms) -> "SparsePoly":
+        """The sum of sign * poly over (sign, poly) pairs, sign +1 or -1, in one dict."""
+        out = {}
+        for sign, poly in terms:
+            for exp, coeff in poly._coeffs.items():
+                out[exp] = out.get(exp, 0) + (coeff if sign > 0 else -coeff)
+        return _wrap(out)
+
     def __neg__(self):
         return _wrap({e: -c for e, c in self._coeffs.items()})
 

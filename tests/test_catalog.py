@@ -188,11 +188,13 @@ def test_wrong_polygon_label_rejected(tmp_path):
         ("representative id=1a div=360", "representative id=1a div=-360", 86),
         # unbounded nesting would exhaust the recursive-descent parser's stack
         ("b=1+t^n ", "b=" + "(" * 400 + "1" + ")" * 400 + " ", 86),
+        # a power's cost grows about fivefold per doubling, so it is capped
+        ("delta=-432*(1+t^n)^2 ", "delta=-432*(1+t^n)^800 ", 86),
         ("family id=1a terms", "family id= terms", 27),
         # row 11 renamed: representative 11 is left without a row of its id
         ("family id=11 terms", "family id=13 terms", 95),
     ],
-    ids=["div-zero", "div-negative", "deep-nesting", "empty-id", "orphan-representative"],
+    ids=["div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id", "orphan-representative"],
 )
 def test_bad_record_rejected_at_its_line(tmp_path, old, new, line):
     path = _mutated_catalog(tmp_path, old, new)

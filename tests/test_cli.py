@@ -253,7 +253,20 @@ def test_rank_reports_failed_check(tmp_path, capsys):
     assert "lambda-formula FAIL" in capsys.readouterr().out
 
 
-_COLD_PATH_SCRIPT = """
+def test_long_sum_chain_in_catalog_exits_cleanly(tmp_path, capsys):
+    # A 1201-term b= once overflowed the recursive evaluator; it now
+    # evaluates, and the wrong b fails the delta identity (exit 4).
+    chain = "+".join(["1"] * 1200) + "+t^n"
+    text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", f" b={chain} ", 1)
+    path = tmp_path / "families.cat"
+    path.write_text(text)
+    assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 4
+    captured = capsys.readouterr()
+    assert "delta-identity FAIL" in captured.out
+    assert "Traceback" not in captured.err
+
+
+_NO_NUMPY_SCRIPT = """
 import contextlib, io, sys
 from delsarte.cli import main
 
@@ -262,6 +275,7 @@ with contextlib.redirect_stdout(io.StringIO()):
         main(["table", "--json"]),
         main(["rank", "--rep", "1a", "--n", "360", "--json"]),
         main(["classify", "--poly", "1 + t^4 X^2 Y + X^3 + Y^2"]),
+        main(["census", "--bound", "4"]),
     ]
     cold = "numpy" in sys.modules
     codes.append(main(["verify", "--suite", "lambda", "--nmax", "12"]))
@@ -269,14 +283,13 @@ print(codes, cold, "numpy" in sys.modules)
 """
 
 
-def test_numpy_stays_off_the_cold_path():
+def test_no_command_loads_numpy():
     src = os.path.dirname(os.path.dirname(delsarte.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _COLD_PATH_SCRIPT],
+        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    # Only the lambda oracle of verify loads numpy.
-    assert result.stdout.split() == ["[0,", "0,", "0,", "0]", "False", "True"]
+    assert result.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False", "False"]

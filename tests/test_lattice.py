@@ -3,7 +3,6 @@ from fractions import Fraction
 import pytest
 
 from delsarte import (
-    enumerate_group,
     group_order,
     homogenize,
     in_lambda,
@@ -13,6 +12,7 @@ from delsarte import (
 from delsarte import lattice
 from delsarte.errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
 from delsarte.exact import qz
+from property_suites import group_elements
 
 F = Fraction
 
@@ -59,15 +59,14 @@ def test_generators_integral_inverse():
     assert lefschetz_number(matrix) == 0
 
 
-def test_enumerate_group_sizes():
+def test_generated_group_sizes():
     gens = lattice_generators(homogenize(TERMS_1D_60))
-    group = enumerate_group(gens)
-    assert len(group.elements) == 360
-    assert set(gens) <= group.elements
-    assert (F(0), F(0), F(0), F(0)) in group.elements
+    elements = group_elements(gens)
+    assert len(elements) == 360
+    assert set(gens) <= elements
+    assert (F(0), F(0), F(0), F(0)) in elements
 
-    single = enumerate_group([(F(1, 2), F(1, 2), 0, 0)])
-    assert single.elements == {
+    assert group_elements([(F(1, 2), F(1, 2), 0, 0)]) == {
         (F(0), F(0), F(0), F(0)),
         (F(1, 2), F(1, 2), F(0), F(0)),
     }
@@ -134,9 +133,9 @@ def test_reduced_generator_presentations(catalog):
     n = 12
     for rep_id, reduced in _reduced_generators(n).items():
         matrix = homogenize(catalog.family_terms(rep_id, n))
-        from_matrix = enumerate_group(lattice_generators(matrix))
-        from_reduced = enumerate_group([tuple(qz(f) for f in g) for g in reduced])
-        assert from_matrix.elements == from_reduced.elements, rep_id
+        from_matrix = group_elements(lattice_generators(matrix))
+        from_reduced = group_elements([tuple(qz(f) for f in g) for g in reduced])
+        assert from_matrix == from_reduced, rep_id
 
 
 def test_in_lambda_depends_on_coordinate_multiset_only():

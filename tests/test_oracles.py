@@ -4,23 +4,22 @@ from math import prod
 import pytest
 
 from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
-from delsarte.lattice import (
-    _coset_cells,
-    _generator_cells,
-    _numerators,
-    _orbit_representatives,
-    _p_parts,
-)
+from delsarte import lattice
+from delsarte.errors import GroupTooLargeError
+from delsarte.lattice import _coset_cells, _generator_cells, _orbit_representatives, _p_parts
 from delsarte.oracles import (
+    _numerators,
     brute_lambda,
     class_census,
     closure_cells,
     gauss_jordan_generators,
     interior_scan,
+    one_interior_polygons,
     prime_gap_scan,
     scan_lambda,
     scan_points,
 )
+from delsarte.polygon import _census_search
 from property_suites import random_matrix
 
 
@@ -45,10 +44,12 @@ def test_brute_zero_when_all_elements_have_zero_coordinate():
     assert brute_lambda(matrix) == 0
 
 
-def test_brute_refuses_modulus_beyond_int64_keys():
-    # 1d at n = 60000 has modulus 60000, and 60000**4 >= 2**63.
-    matrix = homogenize(((0, 0, 0), (60000, 3, 0), (0, 3, 0), (0, 0, 2)))
-    with pytest.raises(ValueError, match="int64"):
+def test_brute_refuses_groups_above_the_cap():
+    # 1 + t^1000000 X^3 + X^3 + Y^2 has |L| = 6 * 10**6; the refusal comes
+    # before any enumeration, so it is immediate.
+    matrix = homogenize(((0, 0, 0), (10**6, 3, 0), (0, 3, 0), (0, 0, 2)))
+    assert group_order(matrix) > lattice.MAX_GROUP_ORDER
+    with pytest.raises(GroupTooLargeError):
         brute_lambda(matrix)
 
 
@@ -153,6 +154,11 @@ def test_prime_gap_scan():
     assert 36 not in prime_gap_scan(200)  # p = 11 works: 33 < 36 and 11 does not divide 36
     with pytest.raises(ValueError):
         prime_gap_scan(3)
+
+
+def test_census_search_matches_exhaustive_scan():
+    for bound in (3, 4):
+        assert _census_search(bound) == one_interior_polygons(bound), bound
 
 
 def test_class_census():
