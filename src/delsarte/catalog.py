@@ -22,7 +22,7 @@ from .errors import CatalogError, DivisibilityError
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
-from .weierstrass import SparsePoly, WeierstrassData, discriminant
+from .weierstrass import SparsePoly, WeierstrassData, j_invariant
 
 DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
 
@@ -114,10 +114,42 @@ MAX_NESTING = 32
 #: Largest power PolyExpr accepts (the bundled catalog's largest is 6); the
 #: cost of a power grows about fivefold per doubling.
 MAX_POWER = 12
+#: Largest degree bound, as a multiple of n, that the loader accepts for a
+#: representative's polynomial at every valid n (the bundled catalog's
+#: largest is 12n, in 3d's jnum). It also caps written-out products, which
+#: MAX_POWER does not see.
+MAX_DEGREE = 24
+
+
+def _bounds(node):
+    """(lo, hi, slope) for a PolyExpr node whose t exponents are c + s*n.
+
+    Every monomial of the node's polynomial has c in [lo, hi] and
+    s <= slope: a number gives [0, 0] and slope 0, t^(c+s*n) gives [c, c]
+    and s, a sum takes the hull, a product the Minkowski sum and a k-th
+    power k times the bounds. So the degree at n is at most hi + slope*n.
+    """
+    kind = node[0]
+    if kind == "num":
+        return 0, 0, 0
+    if kind == "t":
+        return node[1].const, node[1].const, node[1].slope
+    if kind == "pow":
+        lo, hi, slope = _bounds(node[1])
+        return node[2] * lo, node[2] * hi, node[2] * slope
+    if kind == "sum":
+        los, his, slopes = zip(*(_bounds(term) for _, term in node[1]))
+        return min(los), max(his), max(slopes)
+    los, his, slopes = zip(*(_bounds(factor) for factor in node[1]))
+    return sum(los), sum(his), sum(slopes)
 
 
 class PolyExpr:
-    """A parsed closed-form polynomial in t with exponents affine in n."""
+    """A parsed closed-form polynomial in t with exponents affine in n.
+
+    ``exponents`` holds the exponent of every t in the text, and
+    ``bounds`` the (lo, hi, slope) of ``_bounds`` for the whole expression.
+    """
 
     def __init__(self, text: str):
         self.text = text
@@ -125,10 +157,12 @@ class PolyExpr:
         self._pos = 0
         self._depth = 0
         self._tokens = tokens
+        self.exponents = []
         node = self._expr()
         if self._pos != len(tokens):
             raise ValueError(f"trailing input in {text!r}")
         self._node = node
+        self.bounds = _bounds(node)
         del self._pos, self._depth, self._tokens
 
     def _peek(self):
@@ -181,7 +215,9 @@ class PolyExpr:
             return node
         if tok == "t":
             self._take()
-            return ("t", self._exponent())
+            exponent = self._exponent()
+            self.exponents.append(exponent)
+            return ("t", exponent)
         if tok is not None and tok.isdigit():
             self._take()
             if self._try("/"):
@@ -380,6 +416,7 @@ class Catalog:
         self.rows = rows
         self.representatives = representatives
         self._rank_cache = {}
+        self._identity_cache = {}
 
     def row(self, family_id: str) -> FamilyRow:
         try:
@@ -428,6 +465,38 @@ class Catalog:
         rep = self.representative(rep_id)
         return rep.j_num.evaluate(n), rep.j_den.evaluate(n)
 
+    def _identities_hold(self, rep: Representative) -> bool:
+        """Whether delta = -16(4a^3 + 27b^2) and the catalog j hold at every valid n.
+
+        With n = div*m and u = t^m, each expression is a polynomial in
+        t^(+-1) and u (the loader checks the exponents for this), and
+        evaluating at n is the ring map u -> t^m. So one identity between
+        the polynomials gives it at every valid n. To prove one, evaluate
+        once at n* = div*N: when every monomial t^c u^k of the difference
+        has c in [lo, hi] and N > hi - lo, distinct (c, k) go to distinct
+        exponents c + k*N, so the difference is zero exactly when its
+        value at n* is. The bounds come from _bounds; memoized per
+        representative.
+        """
+        if rep.id not in self._identity_cache:
+            (alo, ahi, _), (blo, bhi, _) = rep.a.bounds, rep.b.bounds
+            cubed, squared = (3 * alo, 3 * ahi), (2 * blo, 2 * bhi)
+            core = (min(cubed[0], squared[0]), max(cubed[1], squared[1]))
+            jnum, jden = rep.j_num.bounds, rep.j_den.bounds
+            ranges = (
+                rep.delta.bounds[:2], cubed, squared,
+                (jnum[0] + core[0], jnum[1] + core[1]),  # jnum * (4a^3 + 27b^2)
+                (cubed[0] + jden[0], cubed[1] + jden[1]),  # 1728 * 4a^3 * jden
+            )
+            spread = max(hi for _, hi in ranges) - min(lo for lo, _ in ranges)
+            n = rep.divisibility * (int(spread) + 1)
+            # j is the pair (1728 * 4a^3, 4a^3 + 27b^2), so delta is -16 * j_den.
+            j_num, j_den = j_invariant(WeierstrassData(rep.a.evaluate(n), rep.b.evaluate(n)))
+            self._identity_cache[rep.id] = -16 * j_den == rep.delta.evaluate(n) and (
+                j_num * rep.j_den.evaluate(n) == rep.j_num.evaluate(n) * j_den
+            )
+        return self._identity_cache[rep.id]
+
     def representative_rank(self, rep_id: str, n: int) -> RankReport:
         """Full pipeline for a representative; requires divisibility | n."""
         rep = self.representative(rep_id)
@@ -449,10 +518,7 @@ class Catalog:
             checks = (
                 ("divisibility", True),
                 ("lambda-formula", lam == rep.lambda_formula.eval_int(n)),
-                (
-                    "delta-identity",
-                    discriminant(self.weierstrass_at(rep.id, n)) == self.delta_at(rep.id, n),
-                ),
+                ("delta-identity", self._identities_hold(rep)),
             )
             self._rank_cache[key] = RankReport(
                 rep.id, n, order, lam, euler, h2, rho, rank, checks
@@ -493,6 +559,29 @@ class Catalog:
         return entries
 
 
+def _check_poly(key, expr, divisibility):
+    """Reject a representative's polynomial that the identity proof cannot take.
+
+    Every exponent c + s*n must have s >= 0, s*div integral and
+    c + s*div >= 0, so that with n = div*m and u = t^m it is the monomial
+    t^c u^(s*div) and stays a nonnegative integer at every valid n. The
+    degree bound hi + slope*n of _bounds must stay at most MAX_DEGREE*n at
+    every valid n, which holds when it does at n = div and slope <= MAX_DEGREE.
+    """
+    for exponent in expr.exponents:
+        c, s = exponent.const, exponent.slope
+        if s < 0 or (s * divisibility).denominator != 1 or c + s * divisibility < 0:
+            raise ValueError(
+                f"{key}=: exponent {exponent} = c + s*n needs s >= 0, s*div integral "
+                f"and c + s*div >= 0 (div={divisibility})"
+            )
+    _, hi, slope = expr.bounds
+    if slope > MAX_DEGREE or hi + slope * divisibility > MAX_DEGREE * divisibility:
+        raise ValueError(
+            f"{key}=: degree bound {Affine(hi, slope)} above the cap of {MAX_DEGREE}n"
+        )
+
+
 def _parse_record(kind, fields, line_no):
     def need(key):
         if not fields.get(key):
@@ -520,7 +609,7 @@ def _parse_record(kind, fields, line_no):
         divisibility = int(need("div"))
         if divisibility < 1:
             raise ValueError(f"div={divisibility} is not a positive integer")
-        return Representative(
+        rep = Representative(
             id=need("id"),
             divisibility=divisibility,
             lambda_formula=parse_affine(need("lambda")),
@@ -531,6 +620,10 @@ def _parse_record(kind, fields, line_no):
             j_num=PolyExpr(need("jnum")),
             j_den=PolyExpr(need("jden")),
         )
+        for key, expr in (("a", rep.a), ("b", rep.b), ("delta", rep.delta),
+                          ("jnum", rep.j_num), ("jden", rep.j_den)):
+            _check_poly(key, expr, divisibility)
+        return rep
     except CatalogError:
         raise
     except (ValueError, ZeroDivisionError) as exc:

@@ -12,10 +12,11 @@ coordinate order, makes the fractional lifts of the scaled coordinates
 sum to something other than 2.
 
 |L| is |det A| / d. The Lefschetz number never enumerates L: it splits
-L into its p-parts L_p, enumerates each coset by coset, checks the
-product of their orders against |det A| / d, and tests one character
-per Galois orbit of L, since admissibility is constant on orbits and
-the orbits of L are the products of the orbits of the L_p.
+L into its p-parts L_p, row-reduces the generators to a basis of each,
+checks the product of the basis orders against |det A| / d, reads one
+representative per Galois orbit of each L_p off its basis, and tests
+one character per Galois orbit of L, since admissibility is constant on
+orbits and the orbits of L are the products of the orbits of the L_p.
 """
 
 from __future__ import annotations
@@ -24,7 +25,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, isqrt, lcm
+from math import gcd, lcm
 
 from .errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
 from .exact import QZVec4, mat4_adjugate, mat4_det, qzvec
@@ -119,45 +120,6 @@ def lattice_generators(matrix: ExponentMatrix) -> tuple[QZVec4, QZVec4, QZVec4]:
 MAX_GROUP_ORDER = 10**6
 
 
-def _divisors(n: int) -> list[int]:
-    """The positive divisors of n, ascending."""
-    small = [d for d in range(1, isqrt(n) + 1) if n % d == 0]
-    return small + [n // d for d in reversed(small) if d * d != n]
-
-
-def _coset_cells(gen_cells, modulus):
-    """Every element of the group generated by gen_cells, each exactly once.
-
-    The group is built one generator g at a time: with k the least
-    positive integer such that k*g lies in the group H built so far, the
-    new group is the disjoint union of the cosets j*g + H for 0 <= j < k.
-    """
-    cells = [(0, 0, 0, 0)]
-    members = set(cells)
-    for g0, g1, g2, g3 in gen_cells:
-        # The k with k*g in H form a subgroup of Z containing the order of
-        # g, so the least one is a divisor of that order.
-        order = modulus // gcd(modulus, g0, g1, g2, g3)
-        k = next(
-            k for k in _divisors(order)
-            if ((k * g0) % modulus, (k * g1) % modulus,
-                (k * g2) % modulus, (k * g3) % modulus) in members
-        )
-        shifts = [
-            ((j * g0) % modulus, (j * g1) % modulus, (j * g2) % modulus, (j * g3) % modulus)
-            for j in range(1, k)
-        ]
-        cosets = [
-            ((c0 + s0) % modulus, (c1 + s1) % modulus,
-             (c2 + s2) % modulus, (c3 + s3) % modulus)
-            for s0, s1, s2, s3 in shifts
-            for c0, c1, c2, c3 in cells
-        ]
-        cells += cosets
-        members.update(cosets)
-    return cells
-
-
 def _prime_powers(n: int) -> list[tuple[int, int]]:
     """The pairs (q, p) with q = p^k the exact power of the prime p dividing n, by trial division."""
     factors = []
@@ -175,47 +137,85 @@ def _prime_powers(n: int) -> list[tuple[int, int]]:
     return factors
 
 
-def _p_parts(gen_cells, modulus):
-    """The p-parts of the group L generated by gen_cells over modulus.
+def _basis(gen_cells, q):
+    """A basis of the group the cells generate over q = p^k, as (cell, order) pairs.
 
-    For each prime power q = p^k exactly dividing the modulus, the p-part
-    L_p = (modulus/q) L is generated by the cells g mod q over q. Returns
-    a list of (q, p, every element of L_p over q); L is their direct sum.
+    Row reduction over Z/q: the pivot is an entry of least p-valuation
+    among the rows left, its row is scaled so the pivot becomes
+    p^v = gcd(pivot, q), and the pivot's column is cleared in the rows
+    left (exactly, since their entries have valuation at least v). Every
+    entry of the pivot row is a multiple of p^v, so the row has order
+    q / p^v, and each later row is zero in every earlier pivot column, so
+    the group is the direct sum of the cyclic groups of the rows. Orders
+    come out descending.
     """
-    return [
-        (q, p, _coset_cells([tuple(c % q for c in g) for g in gen_cells], q))
-        for q, p in _prime_powers(modulus)
-    ]
+    rows = [[c % q for c in cell] for cell in gen_cells]
+    basis = []
+    while True:
+        rows = [row for row in rows if any(row)]
+        if not rows:
+            return basis
+        pivot, r, col = min(
+            (gcd(c, q), r, col)
+            for r, row in enumerate(rows)
+            for col, c in enumerate(row)
+            if c
+        )
+        row = rows.pop(r)
+        inverse = pow(row[col] // pivot, -1, q)
+        row = [c * inverse % q for c in row]
+        for other in rows:
+            factor = other[col] // pivot
+            for j in range(4):
+                other[j] = (other[j] - factor * row[j]) % q
+        basis.append((tuple(row), q // pivot))
 
 
-def _orbit_representatives(cells, q, p):
+def _orbit_normal_forms(basis, q, p):
     """One (cell, order, orbit size) per Galois orbit of a p-group over q = p^k.
 
-    The orbit of a cell r of order o = p^j is {t r : p does not divide t},
-    where t r mod q only depends on t mod o; it has phi(o) members.
+    With basis (b_i, o_i), an element x = sum a_i b_i has order p^s, the
+    largest of the orders p^s_i of its coefficients a_i in Z/o_i. Its
+    orbit {t x : p does not divide t} has phi(p^s) members and exactly
+    one in normal form: at the first index i* with s_i* = s the
+    coefficient is o_i* / p^s, earlier coefficients have order below p^s
+    and later ones at most p^s. The zero element is its own orbit.
     """
-    seen = set()
-    representatives = []
-    for cell in cells:
-        if cell in seen:
-            continue
-        c0, c1, c2, c3 = cell
-        order = q // gcd(q, c0, c1, c2, c3)
-        orbit = [
-            ((t * c0) % q, (t * c1) % q, (t * c2) % q, (t * c3) % q)
-            for t in range(1, order + 1) if t % p
-        ]
-        seen.update(orbit)
-        representatives.append((cell, order, len(orbit)))
+    representatives = [((0, 0, 0, 0), 1, 1)]
+    top = basis[0][1] if basis else 1
+    ps = p
+    while ps <= top:
+        for star, (_, star_order) in enumerate(basis):
+            if star_order < ps:
+                continue
+            choices = []
+            for i, (_, order) in enumerate(basis):
+                if i == star:
+                    choices.append((star_order // ps,))
+                else:
+                    # Coefficients of order at most `bound`: multiples of order / bound.
+                    bound = min(order, ps // p if i < star else ps)
+                    choices.append(range(0, order, order // bound))
+            for coefficients in product(*choices):
+                x0 = x1 = x2 = x3 = 0
+                for a, ((b0, b1, b2, b3), _) in zip(coefficients, basis):
+                    x0 += a * b0
+                    x1 += a * b1
+                    x2 += a * b2
+                    x3 += a * b3
+                representatives.append(((x0 % q, x1 % q, x2 % q, x3 % q), ps, ps - ps // p))
+        ps *= p
     return representatives
 
 
 def _admissible(cell, m) -> bool:
     """Admissibility of the character cell/m of order m.
 
-    False when a coordinate is zero. Otherwise the units t <= m // 2 of
-    Z/m are scanned upward, and the answer is True at the first t whose
-    lifts <t*c_i/m> do not sum to 2 (integer compare: residues against 2m).
+    False when a coordinate is zero, and False when the coordinates pair
+    off as c_i + c_j = c_k + c_l = 0 mod m: for every unit t each pair's
+    lifts then sum to 1. Otherwise the units t <= m // 2 of Z/m are
+    scanned upward, and the answer is True at the first t whose lifts
+    <t*c_i/m> do not sum to 2 (integer compare: residues against 2m).
 
     Half the units suffice. With every c_i nonzero mod m and t a unit,
     every t*c_i is nonzero mod m, so <-t*c_i/m> = 1 - <t*c_i/m> and the
@@ -226,6 +226,12 @@ def _admissible(cell, m) -> bool:
     if 0 in cell:
         return False
     c0, c1, c2, c3 = cell
+    if (
+        (c0 + c1 == m and c2 + c3 == m)
+        or (c0 + c2 == m and c1 + c3 == m)
+        or (c0 + c3 == m and c1 + c2 == m)
+    ):
+        return False
     twice = 2 * m
     for t in range(1, m // 2 + 1):
         if gcd(t, m) == 1 and (t * c0) % m + (t * c1) % m + (t * c2) % m + (t * c3) % m != twice:
@@ -261,13 +267,18 @@ def group_order(matrix: ExponentMatrix) -> int:
 def lefschetz_number(matrix: ExponentMatrix) -> int:
     """Count of admissible characters in L, one test per Galois orbit.
 
-    The modulus M of the generators is the exponent of L. Only the
-    p-parts L_p are enumerated; |L| = prod |L_p| is checked against
-    group_order(matrix). By the CRT, (Z/M)^* = prod (Z/q)^* and
-    L = sum L_p, so each Galois orbit {t x : gcd(t, M) = 1} of L is a
-    product of orbits of the L_p, with representative x = sum (M/q) r_p,
-    order prod ord r_p and prod phi(ord r_p) members. Admissibility is
-    constant on an orbit (Shioda 1986), so each x is tested once.
+    The modulus M of the generators is the exponent of L. For each prime
+    power q = p^k exactly dividing M, the generators mod q row-reduce to
+    a basis of the p-part L_p, and prod |L_p| (the product of the basis
+    orders) is checked against group_order(matrix). One representative
+    per Galois orbit of each L_p is read off the basis. By the CRT,
+    (Z/M)^* = prod (Z/q)^* and L = sum L_p, so each Galois orbit
+    {t x : gcd(t, M) = 1} of L is a product of orbits of the L_p, with
+    representative x = sum (M/q) r_p, order prod ord r_p and
+    prod phi(ord r_p) members. Admissibility is constant on an orbit
+    (Shioda 1986), so each x is tested once, and skipped outright when a
+    coordinate is zero: the zero coordinates of x are those zero in every
+    r_p, so the zero masks of its factors share a bit.
 
     Raises GroupTooLargeError when |L| exceeds MAX_GROUP_ORDER, and
     GroupOrderError when prod |L_p| differs from group_order(matrix).
@@ -279,30 +290,31 @@ def lefschetz_number(matrix: ExponentMatrix) -> int:
         )
     gen_cells, modulus = _generator_cells(matrix)
     enumerated = 1
-    parts = []
-    for q, p, cells in _p_parts(gen_cells, modulus):
-        enumerated *= len(cells)
+    # Products of orbit representatives so far: (x, order, orbit size, zero mask).
+    products = [((0, 0, 0, 0), 1, 1, 0b1111)]
+    for q, p in _prime_powers(modulus):
+        basis = _basis(gen_cells, q)
+        for _, order in basis:
+            enumerated *= order
         scale = modulus // q
-        parts.append([
-            (tuple(scale * c for c in cell), order, size)
-            for cell, order, size in _orbit_representatives(cells, q, p)
-        ])
+        part = [
+            ((scale * c0, scale * c1, scale * c2, scale * c3), order, size,
+             (c0 == 0) | (c1 == 0) << 1 | (c2 == 0) << 2 | (c3 == 0) << 3)
+            for (c0, c1, c2, c3), order, size in _orbit_normal_forms(basis, q, p)
+        ]
+        products = [
+            ((x0 + y0, x1 + y1, x2 + y2, x3 + y3), m * order, members * size, mask & bits)
+            for (x0, x1, x2, x3), m, members, mask in products
+            for (y0, y1, y2, y3), order, size, bits in part
+        ]
     if enumerated != predicted:
         raise GroupOrderError(
             f"enumerated {enumerated} characters, but |det A| / d = {predicted}"
         )
     count = 0
-    for combination in product(*parts):
-        m = 1
-        size = 1
-        x0 = x1 = x2 = x3 = 0
-        for (c0, c1, c2, c3), order, orbit_size in combination:
-            m *= order
-            size *= orbit_size
-            x0 += c0
-            x1 += c1
-            x2 += c2
-            x3 += c3
+    for (x0, x1, x2, x3), m, size, mask in products:
+        if mask:
+            continue
         # x has order m, so its coordinates are multiples of modulus/m.
         scale = modulus // m
         cell = ((x0 % modulus) // scale, (x1 % modulus) // scale,

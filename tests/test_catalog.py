@@ -1,3 +1,4 @@
+import time
 from fractions import Fraction
 
 import pytest
@@ -6,7 +7,7 @@ from hypothesis import strategies as st
 
 from delsarte import discriminant, j_invariant, load_catalog
 from delsarte.catalog import DEFAULT_CATALOG, Affine, PolyExpr, parse_affine
-from delsarte.errors import CatalogError, DivisibilityError
+from delsarte.errors import CatalogError, DivisibilityError, NonEllipticError
 
 REP_IDS = ["1a", "1b", "1c", "1d", "1g", "2a", "2b", "2e", "3d", "11", "12"]
 
@@ -124,6 +125,27 @@ def test_h2_and_rho_closed_forms(catalog):
             assert rho_triv(config) == slope * n + const, (rep_id, n)
 
 
+def test_exponent_bounds_of_poly_expr():
+    # (lo, hi, slope): hull of the constant parts, bound on the n-coefficients.
+    assert PolyExpr("-(t^4n+24*t^n)^3").bounds == (0, 0, 12)
+    assert PolyExpr("-432*(1+t^n)^2+t^(2n)-t^(n+360)").bounds == (0, 360, 2)
+    assert PolyExpr("(t^(n-3)+t^2)*t^(n/3)").bounds == (-3, 2, Fraction(4, 3))
+    assert PolyExpr("7").bounds == (0, 0, 0)
+
+
+def test_bundled_degree_bounds_reach_12n(catalog):
+    from delsarte.catalog import MAX_DEGREE
+
+    exprs = [
+        expr
+        for rep in catalog.representatives.values()
+        for expr in (rep.a, rep.b, rep.delta, rep.j_num, rep.j_den)
+    ]
+    assert all(expr.bounds[:2] == (0, 0) for expr in exprs)
+    assert max(expr.bounds[2] for expr in exprs) == 12 < MAX_DEGREE
+    assert catalog.representative("3d").j_num.bounds[2] == 12
+
+
 def test_delta_and_j_identities(catalog):
     for rep_id, rep in catalog.representatives.items():
         n = rep.divisibility
@@ -193,8 +215,20 @@ def test_wrong_polygon_label_rejected(tmp_path):
         ("family id=1a terms", "family id= terms", 27),
         # row 11 renamed: representative 11 is left without a row of its id
         ("family id=11 terms", "family id=13 terms", 95),
+        # the identity proof needs every exponent c + s*n to have s >= 0,
+        # s*div integral and c + s*div >= 0
+        ("b=1+t^n ", "b=1+t^(-n) ", 86),
+        ("b=1+t^n ", "b=1+t^(n/7) ", 86),
+        (" jden=1\nrepresentative id=1b", " jden=t^(n-361)\nrepresentative id=1b", 86),
+        # a written-out product is capped by its degree bound, which MAX_POWER does not see
+        ("b=1+t^n ", "b=" + "*".join(["(1+t^n)"] * 800) + " ", 86),
+        ("b=(1+t^n)^3 ", "b=" + "*".join(["(1+t^5)"] * 800) + " ", 90),
     ],
-    ids=["div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id", "orphan-representative"],
+    ids=[
+        "div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id",
+        "orphan-representative", "negative-slope", "slope-off-div", "negative-exponent",
+        "product-degree-cap", "constant-product-degree-cap",
+    ],
 )
 def test_bad_record_rejected_at_its_line(tmp_path, old, new, line):
     path = _mutated_catalog(tmp_path, old, new)
@@ -257,13 +291,30 @@ def fuzz_dir(tmp_path_factory):
     return tmp_path_factory.mktemp("fuzz")
 
 
-def _load_error(path, lines):
+def _load(path, lines):
+    """(catalog, None) when the lines load, else (None, the CatalogError)."""
     path.write_text("\n".join(lines))
     try:
-        load_catalog(path)
+        return load_catalog(path), None
     except CatalogError as err:
-        return err
-    return None
+        return None, err
+
+
+#: Seconds a loaded mutation may take to evaluate a, b and delta of every
+#: representative at its div (the bundled catalog takes a few ms).
+_EVALUATION_BUDGET = 2.0
+
+
+def _evaluate_at_div(catalog):
+    start = time.perf_counter()
+    for rep_id, rep in catalog.representatives.items():
+        n = rep.divisibility
+        try:
+            discriminant(catalog.weierstrass_at(rep_id, n))
+        except NonEllipticError:
+            pass  # a documented refusal: the CLI exits 3
+        catalog.delta_at(rep_id, n)
+    return time.perf_counter() - start
 
 
 @settings(derandomize=True, max_examples=200, deadline=None, database=None)
@@ -272,12 +323,15 @@ def test_mutated_catalog_loads_or_names_its_line(fuzz_dir, mutation):
     # A record that fails to parse on its own (alone in a file, where the
     # only other error is the row count) must be reported at its own line;
     # the lines before it are untouched, so no earlier error can come first.
+    # A mutation that loads must also evaluate within the time budget.
     index, line = mutation
-    own = _load_error(fuzz_dir / "alone.cat", [line])
+    _, own = _load(fuzz_dir / "alone.cat", [line])
     parses = own.line is None
     lines = list(_CATALOG_LINES)
     lines[index] = line
-    err = _load_error(fuzz_dir / "families.cat", lines)
+    catalog, err = _load(fuzz_dir / "families.cat", lines)
+    if catalog is not None:
+        assert _evaluate_at_div(catalog) < _EVALUATION_BUDGET, line
     if not parses:
         assert own.line == 1, own
         assert err is not None and err.line == index + 1, err

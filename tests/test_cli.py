@@ -266,6 +266,40 @@ def test_long_sum_chain_in_catalog_exits_cleanly(tmp_path, capsys):
     assert "Traceback" not in captured.err
 
 
+def test_delta_identity_is_proved_for_every_n(tmp_path, capsys):
+    # The two extra terms cancel at n = 360 only; a check at that n alone
+    # would pass, the identity proved once for every n fails.
+    text = DEFAULT_CATALOG.read_text().replace(
+        "delta=-432*(1+t^n)^2 ", "delta=-432*(1+t^n)^2+t^(2n)-t^(n+360) ", 1
+    )
+    path = tmp_path / "families.cat"
+    path.write_text(text)
+    for n in ("360", "720"):
+        assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", n]) == 4, n
+        assert "delta-identity FAIL" in capsys.readouterr().out
+
+
+def test_j_identity_is_checked_on_the_rank_path(tmp_path, capsys):
+    text = DEFAULT_CATALOG.read_text().replace("jnum=6912*t^3n ", "jnum=6913*t^3n ", 1)
+    path = tmp_path / "families.cat"
+    path.write_text(text)
+    assert main(["--catalog", str(path), "rank", "--rep", "1b", "--n", "840"]) == 4
+    assert "delta-identity FAIL" in capsys.readouterr().out
+
+
+def test_long_product_chain_in_catalog_exits_at_its_line(tmp_path, capsys):
+    # 800 factors of (1+t^n) once loaded and took about 0.5 s per evaluation;
+    # the degree bound (800n) is refused at load.
+    chain = "*".join(["(1+t^n)"] * 800)
+    text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", f" b={chain} ", 1)
+    path = tmp_path / "families.cat"
+    path.write_text(text)
+    start = time.perf_counter()
+    assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 2
+    assert time.perf_counter() - start < 1.0
+    assert "line 86" in capsys.readouterr().err
+
+
 _NO_NUMPY_SCRIPT = """
 import contextlib, io, sys
 from delsarte.cli import main

@@ -1,12 +1,13 @@
 import random
-from math import prod
+from fractions import Fraction
+from math import gcd, prod
 
 import pytest
 
 from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
 from delsarte import lattice
 from delsarte.errors import GroupTooLargeError
-from delsarte.lattice import _coset_cells, _generator_cells, _orbit_representatives, _p_parts
+from delsarte.lattice import _basis, _generator_cells, _orbit_normal_forms, _prime_powers
 from delsarte.oracles import (
     _numerators,
     brute_lambda,
@@ -64,15 +65,6 @@ def test_brute_matches_main_on_random_matrices():
         assert 0 <= lam <= group_order(matrix)
 
 
-def _random_groups(seed, count=400):
-    """(matrix, enumerated cells, modulus) for random nonsingular supports, exponents < 9."""
-    rng = random.Random(seed)
-    for _ in range(count):
-        matrix = random_matrix(rng, max_exp=8)
-        gen_cells, modulus = _generator_cells(matrix)
-        yield matrix, _coset_cells(gen_cells, modulus), modulus
-
-
 def test_adjugate_generators_match_gauss_jordan(catalog):
     rng = random.Random(29)
     matrices = [random_matrix(rng, max_exp=8) for _ in range(300)]
@@ -100,29 +92,64 @@ def test_lefschetz_matches_full_scan_of_closure():
         assert lefschetz_number(matrix) == scan_lambda(closure, modulus), matrix.rows
 
 
-def test_p_parts_multiply_to_group_order():
+def test_lefschetz_matches_brute_lambda_on_larger_exponents():
+    # Exponents < 12 give groups of up to ~1000 elements; brute_lambda costs
+    # |L| times the generator orders, so groups above 100 elements are drawn
+    # and passed over to keep the test near 2 s.
+    rng = random.Random(53)
+    checked = admissible = 0
+    while checked < 300:
+        matrix = random_matrix(rng, max_exp=11)
+        if group_order(matrix) > 100:
+            continue
+        lam = lefschetz_number(matrix)
+        assert brute_lambda(matrix) == lam, matrix.rows
+        checked += 1
+        admissible += lam > 0
+    assert admissible > 200
+
+
+def _p_part_closures(matrix):
+    """(q, p, basis, BFS closure of the generators mod q as cells over q) per p-part."""
+    gen_cells, modulus = _generator_cells(matrix)
+    for q, p in _prime_powers(modulus):
+        closure, closure_modulus = closure_cells(
+            [tuple(Fraction(c % q, q) for c in cell) for cell in gen_cells]
+        )
+        scale = q // closure_modulus
+        cells = {tuple(scale * c for c in cell) for cell in closure}
+        yield q, p, _basis(gen_cells, q), cells
+
+
+def test_basis_orders_multiply_to_p_part_order():
     for matrix, closure, _ in _random_closures(43):
-        parts = _p_parts(*_generator_cells(matrix))
-        assert prod(len(cells) for _, _, cells in parts) == group_order(matrix), matrix.rows
-        assert group_order(matrix) == len(closure), matrix.rows
-        for q, p, cells in parts:
-            assert len(set(cells)) == len(cells), (matrix.rows, q)
-            # The orbits partition L_p.
-            sizes = [size for _, _, size in _orbit_representatives(cells, q, p)]
-            assert sum(sizes) == len(cells), (matrix.rows, q)
+        total = 1
+        for q, _, basis, cells in _p_part_closures(matrix):
+            assert prod(order for _, order in basis) == len(cells), (matrix.rows, q)
+            total *= len(cells)
+        assert total == group_order(matrix) == len(closure), matrix.rows
 
 
-def test_coset_enumeration_matches_closure():
-    for matrix, cells, modulus in _random_groups(37):
-        closure, closure_modulus = closure_cells(gauss_jordan_generators(matrix))
-        assert closure_modulus == modulus, matrix.rows
-        assert len(set(cells)) == len(cells), matrix.rows
-        assert set(cells) == closure, matrix.rows
+def test_orbit_normal_forms_partition_closure():
+    # Each representative's orbit {t r : p does not divide t}, expanded by
+    # brute unit multiplication, has phi(ord r) members; the orbits are
+    # disjoint and cover the p-part.
+    for matrix, _, _ in _random_closures(37):
+        for q, p, basis, cells in _p_part_closures(matrix):
+            covered = set()
+            for cell, order, size in _orbit_normal_forms(basis, q, p):
+                assert order == q // gcd(q, *cell), (matrix.rows, q, cell)
+                orbit = {tuple(t * c % q for c in cell) for t in range(1, q + 1) if t % p}
+                phi = sum(1 for t in range(1, order + 1) if gcd(t, order) == 1)
+                assert len(orbit) == size == phi, (matrix.rows, q, cell)
+                assert covered.isdisjoint(orbit), (matrix.rows, q, cell)
+                covered |= orbit
+            assert covered == cells, (matrix.rows, q)
 
 
 def test_group_order_is_enumerated_size():
-    for matrix, cells, _ in _random_groups(41):
-        assert group_order(matrix) == len(cells), matrix.rows
+    for matrix, closure, _ in _random_closures(41):
+        assert group_order(matrix) == len(closure), matrix.rows
 
 
 def test_interior_scan_examples():
