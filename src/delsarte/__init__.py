@@ -19,7 +19,7 @@ from .catalog import (
     load_catalog,
 )
 from .errors import DelsarteError
-from .exact import qz, qz_add, qz_lift, qz_order, qz_scale
+from .exact import qz
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import (
     ExponentMatrix,
@@ -75,10 +75,6 @@ __all__ = [
     "load_catalog",
     "mordell_weil_rank",
     "qz",
-    "qz_add",
-    "qz_lift",
-    "qz_order",
-    "qz_scale",
     "rho_triv",
     "second_betti",
     "to_default_position",

@@ -18,11 +18,11 @@ from fractions import Fraction
 from math import lcm
 from pathlib import Path
 
-from .errors import CatalogError, DivisibilityError
+from .errors import CatalogError, DivisibilityError, NonEllipticError
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
-from .weierstrass import SparsePoly, WeierstrassData, j_invariant
+from .weierstrass import SparsePoly, WeierstrassData
 
 DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
 
@@ -111,44 +111,52 @@ def _tokenize(text: str):
 
 #: Deepest parenthesis nesting PolyExpr accepts; the parser recurses once per level.
 MAX_NESTING = 32
-#: Largest power PolyExpr accepts (the bundled catalog's largest is 6); the
-#: cost of a power grows about fivefold per doubling.
+#: Largest power PolyExpr accepts (the bundled catalog's largest is 6); it
+#: bounds the products a power costs and the size of its coefficients.
 MAX_POWER = 12
-#: Largest degree bound, as a multiple of n, that the loader accepts for a
-#: representative's polynomial at every valid n (the bundled catalog's
-#: largest is 12n, in 3d's jnum). It also caps written-out products, which
-#: MAX_POWER does not see.
-MAX_DEGREE = 24
+#: Most monomials any polynomial PolyExpr builds may have, its parts
+#: included (the bundled catalog's most is 7). So a product costs at most
+#: MAX_TERMS times the size of its right factor, parsing stays bounded by
+#: the length of the text, and the identity proof multiplies polynomials
+#: of at most MAX_TERMS monomials.
+MAX_TERMS = 32
 
 
-def _bounds(node):
-    """(lo, hi, slope) for a PolyExpr node whose t exponents are c + s*n.
+def _exact(value):
+    """An integral Fraction as int, any other value as it is."""
+    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
 
-    Every monomial of the node's polynomial has c in [lo, hi] and
-    s <= slope: a number gives [0, 0] and slope 0, t^(c+s*n) gives [c, c]
-    and s, a sum takes the hull, a product the Minkowski sum and a k-th
-    power k times the bounds. So the degree at n is at most hi + slope*n.
-    """
-    kind = node[0]
-    if kind == "num":
-        return 0, 0, 0
-    if kind == "t":
-        return node[1].const, node[1].const, node[1].slope
-    if kind == "pow":
-        lo, hi, slope = _bounds(node[1])
-        return node[2] * lo, node[2] * hi, node[2] * slope
-    if kind == "sum":
-        los, his, slopes = zip(*(_bounds(term) for _, term in node[1]))
-        return min(los), max(his), max(slopes)
-    los, his, slopes = zip(*(_bounds(factor) for factor in node[1]))
-    return sum(los), sum(his), sum(slopes)
+
+def _trimmed(data) -> dict:
+    """Monomial -> coefficient data without zero coefficients, integral values as int."""
+    return {(c, _exact(s)): _exact(coeff) for (c, s), coeff in data.items() if coeff}
+
+
+def _signed_sum(terms) -> dict:
+    """The sum of sign * poly over (sign, poly) pairs of expansions, sign +1 or -1."""
+    out = {}
+    for sign, poly in terms:
+        for mono, coeff in poly.items():
+            out[mono] = out.get(mono, 0) + (coeff if sign > 0 else -coeff)
+    return _trimmed(out)
+
+
+def _product(left, right) -> dict:
+    """The product of two expansions: t^(c+s*n) * t^(c'+s'*n) = t^(c+c'+(s+s')*n)."""
+    out = {}
+    for (c1, s1), x in left.items():
+        for (c2, s2), y in right.items():
+            mono = (c1 + c2, s1 + s2)
+            out[mono] = out.get(mono, 0) + x * y
+    return _trimmed(out)
 
 
 class PolyExpr:
-    """A parsed closed-form polynomial in t with exponents affine in n.
+    """A closed-form polynomial in t with exponents affine in n, expanded once.
 
-    ``exponents`` holds the exponent of every t in the text, and
-    ``bounds`` the (lo, hi, slope) of ``_bounds`` for the whole expression.
+    ``terms`` maps each monomial t^(c+s*n), as the pair (c, s), to its
+    nonzero coefficient; c is an int, and s and the coefficient are ints
+    when integral and Fractions otherwise.
     """
 
     def __init__(self, text: str):
@@ -157,12 +165,10 @@ class PolyExpr:
         self._pos = 0
         self._depth = 0
         self._tokens = tokens
-        self.exponents = []
-        node = self._expr()
+        terms = self._expr()
         if self._pos != len(tokens):
             raise ValueError(f"trailing input in {text!r}")
-        self._node = node
-        self.bounds = _bounds(node)
+        self.terms = terms
         del self._pos, self._depth, self._tokens
 
     def _peek(self):
@@ -175,32 +181,37 @@ class PolyExpr:
         self._pos += 1
         return tok
 
+    def _capped(self, terms):
+        if len(terms) > MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} monomials in {self.text!r}")
+        return terms
+
     def _expr(self):
-        # A +/- chain is one flat node, so evaluating it needs no recursion
-        # per term.
+        # A +/- chain is one flat loop, so parsing it needs no recursion per term.
         terms = [(-1 if self._try("-") else 1, self._term())]
         while self._peek() in ("+", "-"):
             terms.append((1 if self._take() == "+" else -1, self._term()))
-        if len(terms) == 1 and terms[0][0] == 1:
-            return terms[0][1]
-        return ("sum", terms)
+        return self._capped(_signed_sum(terms))
 
     def _term(self):
-        factors = [self._factor()]
+        result = self._factor()
         while self._try("*"):
-            factors.append(self._factor())
-        return factors[0] if len(factors) == 1 else ("prod", factors)
+            result = self._capped(_product(result, self._factor()))
+        return result
 
     def _factor(self):
-        node = self._base()
-        if self._try("^"):
-            power = self._take()
-            if not power.isdigit():
-                raise ValueError(f"non-integer power in {self.text!r}")
-            if int(power) > MAX_POWER:
-                raise ValueError(f"power {power} above the cap of {MAX_POWER} in {self.text!r}")
-            node = ("pow", node, int(power))
-        return node
+        base = self._base()
+        if not self._try("^"):
+            return base
+        power = self._take()
+        if not power.isdigit():
+            raise ValueError(f"non-integer power in {self.text!r}")
+        if int(power) > MAX_POWER:
+            raise ValueError(f"power {power} above the cap of {MAX_POWER} in {self.text!r}")
+        result = {(0, 0): 1}
+        for _ in range(int(power)):
+            result = self._capped(_product(result, base))
+        return result
 
     def _base(self):
         tok = self._peek()
@@ -209,23 +220,23 @@ class PolyExpr:
             self._depth += 1
             if self._depth > MAX_NESTING:
                 raise ValueError(f"parentheses nested deeper than {MAX_NESTING} in {self.text!r}")
-            node = self._expr()
+            terms = self._expr()
             self._take(")")
             self._depth -= 1
-            return node
+            return terms
         if tok == "t":
             self._take()
             exponent = self._exponent()
-            self.exponents.append(exponent)
-            return ("t", exponent)
+            return {(_exact(exponent.const), _exact(exponent.slope)): 1}
         if tok is not None and tok.isdigit():
             self._take()
+            value = int(tok)
             if self._try("/"):
                 den = self._take()
                 if not den.isdigit():
                     raise ValueError(f"bad rational in {self.text!r}")
-                return ("num", SparsePoly(Fraction(int(tok), int(den))))
-            return ("num", SparsePoly(int(tok)))
+                value = _exact(Fraction(value, int(den)))
+            return {(0, 0): value} if value else {}
         raise ValueError(f"unexpected token {tok!r} in {self.text!r}")
 
     def _exponent(self):
@@ -256,26 +267,14 @@ class PolyExpr:
         return False
 
     def evaluate(self, n: int) -> SparsePoly:
-        return self._eval(self._node, n)
-
-    def _eval(self, node, n):
-        kind = node[0]
-        if kind == "num":
-            # Built once by the parser; ring operations never mutate a SparsePoly.
-            return node[1]
-        if kind == "t":
-            return SparsePoly.monomial(node[1].eval_int(n))
-        if kind == "sum":
-            return SparsePoly.signed_sum((sign, self._eval(term, n)) for sign, term in node[1])
-        if kind == "prod":
-            factors = node[1]
-            result = self._eval(factors[0], n)
-            for factor in factors[1:]:
-                result = result * self._eval(factor, n)
-            return result
-        if kind == "pow":
-            return self._eval(node[1], n) ** node[2]
-        raise AssertionError(f"unknown node {kind}")
+        """The polynomial at parameter n, each monomial (c, s) becoming t^(c+s*n)."""
+        pairs = []
+        for (c, s), coeff in self.terms.items():
+            exponent, rest = divmod(c + s * n, 1)
+            if rest:
+                raise ValueError(f"exponent {Affine(c, s)} of {self.text!r} is not integral at n={n}")
+            pairs.append((exponent, coeff))
+        return SparsePoly(pairs)
 
     def __repr__(self):
         return f"PolyExpr({self.text!r})"
@@ -466,34 +465,27 @@ class Catalog:
         return rep.j_num.evaluate(n), rep.j_den.evaluate(n)
 
     def _identities_hold(self, rep: Representative) -> bool:
-        """Whether delta = -16(4a^3 + 27b^2) and the catalog j hold at every valid n.
+        """Whether the catalog delta and j follow from a and b at every valid n.
 
-        With n = div*m and u = t^m, each expression is a polynomial in
-        t^(+-1) and u (the loader checks the exponents for this), and
-        evaluating at n is the ring map u -> t^m. So one identity between
-        the polynomials gives it at every valid n. To prove one, evaluate
-        once at n* = div*N: when every monomial t^c u^k of the difference
-        has c in [lo, hi] and N > hi - lo, distinct (c, k) go to distinct
-        exponents c + k*N, so the difference is zero exactly when its
-        value at n* is. The bounds come from _bounds; memoized per
-        representative.
+        With n = div*m and u = t^m, each expansion is a polynomial in
+        t^(+-1) and u (the loader checks the exponents for this), its
+        monomial (c, s) standing for t^c u^(s*div), and evaluating at n is
+        the ring map u -> t^m. So comparing expansions compares the
+        polynomials, which agree exactly when they agree at every valid n.
+        Memoized per representative.
         """
         if rep.id not in self._identity_cache:
-            (alo, ahi, _), (blo, bhi, _) = rep.a.bounds, rep.b.bounds
-            cubed, squared = (3 * alo, 3 * ahi), (2 * blo, 2 * bhi)
-            core = (min(cubed[0], squared[0]), max(cubed[1], squared[1]))
-            jnum, jden = rep.j_num.bounds, rep.j_den.bounds
-            ranges = (
-                rep.delta.bounds[:2], cubed, squared,
-                (jnum[0] + core[0], jnum[1] + core[1]),  # jnum * (4a^3 + 27b^2)
-                (cubed[0] + jden[0], cubed[1] + jden[1]),  # 1728 * 4a^3 * jden
-            )
-            spread = max(hi for _, hi in ranges) - min(lo for lo, _ in ranges)
-            n = rep.divisibility * (int(spread) + 1)
-            # j is the pair (1728 * 4a^3, 4a^3 + 27b^2), so delta is -16 * j_den.
-            j_num, j_den = j_invariant(WeierstrassData(rep.a.evaluate(n), rep.b.evaluate(n)))
-            self._identity_cache[rep.id] = -16 * j_den == rep.delta.evaluate(n) and (
-                j_num * rep.j_den.evaluate(n) == rep.j_num.evaluate(n) * j_den
+            def times(k, poly):
+                return _product({(0, 0): k}, poly)
+
+            a, b = rep.a.terms, rep.b.terms
+            cubed = _product(_product(a, a), a)
+            # 4a^3 + 27b^2 is -delta/16 and the denominator of j = 6912a^3 / (4a^3 + 27b^2).
+            core = _signed_sum(((1, times(4, cubed)), (1, times(27, _product(b, b)))))
+            if not core:
+                raise NonEllipticError(f"representative {rep.id}: the discriminant vanishes")
+            self._identity_cache[rep.id] = rep.delta.terms == times(-16, core) and (
+                _product(rep.j_num.terms, core) == times(6912, _product(cubed, rep.j_den.terms))
             )
         return self._identity_cache[rep.id]
 
@@ -562,24 +554,17 @@ class Catalog:
 def _check_poly(key, expr, divisibility):
     """Reject a representative's polynomial that the identity proof cannot take.
 
-    Every exponent c + s*n must have s >= 0, s*div integral and
-    c + s*div >= 0, so that with n = div*m and u = t^m it is the monomial
-    t^c u^(s*div) and stays a nonnegative integer at every valid n. The
-    degree bound hi + slope*n of _bounds must stay at most MAX_DEGREE*n at
-    every valid n, which holds when it does at n = div and slope <= MAX_DEGREE.
+    Every monomial t^(c+s*n) of the expansion must have s >= 0, s*div
+    integral and c + s*div >= 0, so that with n = div*m and u = t^m it is
+    t^c u^(s*div) and its exponent stays a nonnegative integer at every
+    valid n.
     """
-    for exponent in expr.exponents:
-        c, s = exponent.const, exponent.slope
-        if s < 0 or (s * divisibility).denominator != 1 or c + s * divisibility < 0:
+    for c, s in expr.terms:
+        if s < 0 or (s * divisibility) % 1 or c + s * divisibility < 0:
             raise ValueError(
-                f"{key}=: exponent {exponent} = c + s*n needs s >= 0, s*div integral "
+                f"{key}=: exponent {Affine(c, s)} = c + s*n needs s >= 0, s*div integral "
                 f"and c + s*div >= 0 (div={divisibility})"
             )
-    _, hi, slope = expr.bounds
-    if slope > MAX_DEGREE or hi + slope * divisibility > MAX_DEGREE * divisibility:
-        raise ValueError(
-            f"{key}=: degree bound {Affine(hi, slope)} above the cap of {MAX_DEGREE}n"
-        )
 
 
 def _parse_record(kind, fields, line_no):

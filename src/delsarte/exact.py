@@ -26,25 +26,6 @@ def qz(num, den=1) -> QZ:
     return Fraction(num, den) % 1
 
 
-def qz_add(a, b) -> QZ:
-    return (a + b) % 1
-
-
-def qz_scale(t, a) -> QZ:
-    """Image of a under multiplication by the integer t."""
-    return (t * a) % 1
-
-
-def qz_order(a) -> int:
-    """Order of a in the additive group Q/Z; the identity has order 1."""
-    return (a % 1).denominator
-
-
-def qz_lift(a) -> Fraction:
-    """The lift of a to the unique rational representative in [0, 1)."""
-    return a % 1
-
-
 def qzvec(coords) -> QZVec4:
     """Normalize a length-4 iterable of rationals into (Q/Z)^4."""
     vec = tuple(Fraction(c) % 1 for c in coords)

@@ -125,9 +125,6 @@ class UnimodularAffineMap:
         return UnimodularAffineMap(matrix, shift)
 
 
-IDENTITY_MAP = UnimodularAffineMap(((1, 0), (0, 1)))
-
-
 def integral_equivalence(p: Polygon, q: Polygon):
     """A witness map sending p onto q as point sets, or None.
 
@@ -269,11 +266,6 @@ def _extra_classes():
     return tuple(
         PolygonClass(f"x{i}", poly) for i, poly in enumerate(extras, start=1)
     )
-
-
-def all_classes() -> tuple[PolygonClass, ...]:
-    """The 16 canonical classes, w1..w12 then x1..x4."""
-    return TABLE_CLASSES + _extra_classes()
 
 
 def classify_one_interior(polygon: Polygon) -> PolygonClass:

@@ -81,15 +81,6 @@ class SparsePoly:
 
     __radd__ = __add__
 
-    @staticmethod
-    def signed_sum(terms) -> "SparsePoly":
-        """The sum of sign * poly over (sign, poly) pairs, sign +1 or -1, in one dict."""
-        out = {}
-        for sign, poly in terms:
-            for exp, coeff in poly._coeffs.items():
-                out[exp] = out.get(exp, 0) + (coeff if sign > 0 else -coeff)
-        return _wrap(out)
-
     def __neg__(self):
         return _wrap({e: -c for e, c in self._coeffs.items()})
 
@@ -163,7 +154,8 @@ def discriminant(curve: WeierstrassData) -> SparsePoly:
 
 def j_invariant(curve: WeierstrassData):
     """The j-invariant as the unreduced pair (1728*4a^3, 4a^3 + 27b^2)."""
-    den = 4 * curve.a ** 3 + 27 * curve.b ** 2
+    cubed = 4 * curve.a ** 3
+    den = cubed + 27 * curve.b ** 2
     if den.is_zero:
         raise NonEllipticError("discriminant vanishes identically")
-    return 1728 * 4 * curve.a ** 3, den
+    return 1728 * cubed, den

@@ -1,3 +1,5 @@
+import random
+import re
 import time
 from fractions import Fraction
 
@@ -5,8 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import discriminant, j_invariant, load_catalog
-from delsarte.catalog import DEFAULT_CATALOG, Affine, PolyExpr, parse_affine
+from delsarte import SparsePoly, discriminant, j_invariant, load_catalog
+from delsarte.catalog import DEFAULT_CATALOG, MAX_TERMS, Affine, PolyExpr, parse_affine
 from delsarte.errors import CatalogError, DivisibilityError, NonEllipticError
 
 REP_IDS = ["1a", "1b", "1c", "1d", "1g", "2a", "2b", "2e", "3d", "11", "12"]
@@ -125,25 +127,91 @@ def test_h2_and_rho_closed_forms(catalog):
             assert rho_triv(config) == slope * n + const, (rep_id, n)
 
 
-def test_exponent_bounds_of_poly_expr():
-    # (lo, hi, slope): hull of the constant parts, bound on the n-coefficients.
-    assert PolyExpr("-(t^4n+24*t^n)^3").bounds == (0, 0, 12)
-    assert PolyExpr("-432*(1+t^n)^2+t^(2n)-t^(n+360)").bounds == (0, 360, 2)
-    assert PolyExpr("(t^(n-3)+t^2)*t^(n/3)").bounds == (-3, 2, Fraction(4, 3))
-    assert PolyExpr("7").bounds == (0, 0, 0)
+def test_poly_expr_terms():
+    # (c, s) -> coefficient, one entry per monomial t^(c+s*n); ints where integral.
+    assert PolyExpr("-(t^4n+24*t^n)^3").terms == {
+        (0, 12): -1, (0, 9): -72, (0, 6): -1728, (0, 3): -13824,
+    }
+    assert PolyExpr("-432*(1+t^n)^2+t^(2n)-t^(n+360)").terms == {
+        (0, 0): -432, (0, 1): -864, (0, 2): -431, (360, 1): -1,
+    }
+    assert PolyExpr("(t^(n-3)+t^2)*t^(n/3)").terms == {
+        (-3, Fraction(4, 3)): 1, (2, Fraction(1, 3)): 1,
+    }
+    assert PolyExpr("7").terms == {(0, 0): 7}
+    for text in ("-(t^4n+24*t^n)^3", "t^(n/3)*t^(2n/3)-1/3*3", "7"):
+        for (c, s), coeff in PolyExpr(text).terms.items():
+            assert (type(c), type(s), type(coeff)) == (int, int, int), text
 
 
-def test_bundled_degree_bounds_reach_12n(catalog):
-    from delsarte.catalog import MAX_DEGREE
-
+def test_bundled_monomial_counts_stay_below_the_cap(catalog):
     exprs = [
         expr
         for rep in catalog.representatives.values()
         for expr in (rep.a, rep.b, rep.delta, rep.j_num, rep.j_den)
     ]
-    assert all(expr.bounds[:2] == (0, 0) for expr in exprs)
-    assert max(expr.bounds[2] for expr in exprs) == 12 < MAX_DEGREE
-    assert catalog.representative("3d").j_num.bounds[2] == 12
+    assert len(exprs) == 55
+    assert max(len(expr.terms) for expr in exprs) == 7 < MAX_TERMS
+    assert len(catalog.representative("12").j_num.terms) == 7
+
+
+_RATIONAL = re.compile(r"(\d+)/(\d+)")
+_POWER_OF_T = re.compile(r"t(?:\^(\([^)]*\)|\d*n|\d+))?")
+
+
+def _reference_evaluate(text, n):
+    """The catalog polynomial at n, built differently from PolyExpr.
+
+    Each exponent of t is first replaced by its integer value at n, and the
+    result is computed by Python's own parser with SparsePoly arithmetic.
+    """
+
+    def monomial(match):
+        exponent = parse_affine((match.group(1) or "1").strip("()")).eval_int(n)
+        return f"T({exponent})"
+
+    code = _RATIONAL.sub(r"F(\1, \2)", _POWER_OF_T.sub(monomial, text)).replace("^", "**")
+    value = eval(code, {"T": SparsePoly.monomial, "F": Fraction})
+    return value if isinstance(value, SparsePoly) else SparsePoly(value)
+
+
+def test_evaluate_matches_reference_on_bundled_expressions(catalog):
+    for rep in catalog.representatives.values():
+        for expr in (rep.a, rep.b, rep.delta, rep.j_num, rep.j_den):
+            for k in range(1, 5):
+                n = rep.divisibility * k
+                assert expr.evaluate(n) == _reference_evaluate(expr.text, n), (expr, n)
+
+
+# Exponents c + s*n that are nonnegative integers at every n = 6k.
+_EXPONENTS = ["", "^0", "^5", "^n", "^3n", "^(n/2)", "^(n/3+1)", "^(2n-5)", "^(n/6+2)", "^(5n/6)"]
+_NUMBERS = ["0", "1", "2", "12", "2/27", "1/3", "5/4"]
+
+
+def _random_poly_text(rng, depth):
+    """A random catalog polynomial of nesting depth at most depth."""
+    if depth == 0 or rng.random() < 0.2:
+        return rng.choice(["t" + rng.choice(_EXPONENTS), rng.choice(_NUMBERS)])
+    left = f"({_random_poly_text(rng, depth - 1)})"
+    right = f"({_random_poly_text(rng, depth - 1)})"
+    return rng.choice([f"{left}+{right}", f"{left}-{right}+t", f"-{left}*{right}",
+                       f"{left}*{right}", f"{left}^{rng.randrange(4)}"])
+
+
+def test_evaluate_matches_reference_on_generated_expressions():
+    rng = random.Random(5)
+    texts = set()
+    while len(texts) < 200:
+        text = _random_poly_text(rng, 4)
+        try:
+            expr = PolyExpr(text)
+        except ValueError as exc:
+            assert "monomials" in str(exc), text
+            continue
+        assert len(expr.terms) <= MAX_TERMS
+        for n in (6, 12, 18, 24):
+            assert expr.evaluate(n) == _reference_evaluate(text, n), (text, n)
+        texts.add(text)
 
 
 def test_delta_and_j_identities(catalog):
@@ -220,20 +288,26 @@ def test_wrong_polygon_label_rejected(tmp_path):
         ("b=1+t^n ", "b=1+t^(-n) ", 86),
         ("b=1+t^n ", "b=1+t^(n/7) ", 86),
         (" jden=1\nrepresentative id=1b", " jden=t^(n-361)\nrepresentative id=1b", 86),
-        # a written-out product is capped by its degree bound, which MAX_POWER does not see
+        # a written-out product or sum is capped by MAX_TERMS monomials, which
+        # MAX_POWER does not see; each of these loaded under a cap on the degree
         ("b=1+t^n ", "b=" + "*".join(["(1+t^n)"] * 800) + " ", 86),
         ("b=(1+t^n)^3 ", "b=" + "*".join(["(1+t^5)"] * 800) + " ", 90),
+        ("b=1+t^n ", "b=" + "*".join(["(1+t)"] * 1000) + " ", 86),
+        (" a=0 b=1+t^n ", " a=" + "+".join(f"t^{k}" for k in range(1, 1001)) + " b=1+t^n ", 86),
     ],
     ids=[
         "div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id",
         "orphan-representative", "negative-slope", "slope-off-div", "negative-exponent",
-        "product-degree-cap", "constant-product-degree-cap",
+        "product-degree-cap", "constant-product-degree-cap", "product-term-cap",
+        "sum-term-cap",
     ],
 )
 def test_bad_record_rejected_at_its_line(tmp_path, old, new, line):
     path = _mutated_catalog(tmp_path, old, new)
+    start = time.perf_counter()
     with pytest.raises(CatalogError) as err:
         load_catalog(path)
+    assert time.perf_counter() - start < 1.0
     assert err.value.line == line
 
 

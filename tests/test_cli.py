@@ -289,7 +289,8 @@ def test_j_identity_is_checked_on_the_rank_path(tmp_path, capsys):
 
 def test_long_product_chain_in_catalog_exits_at_its_line(tmp_path, capsys):
     # 800 factors of (1+t^n) once loaded and took about 0.5 s per evaluation;
-    # the degree bound (800n) is refused at load.
+    # the expansion passes MAX_TERMS monomials at the 32nd factor and is
+    # refused at load.
     chain = "*".join(["(1+t^n)"] * 800)
     text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", f" b={chain} ", 1)
     path = tmp_path / "families.cat"

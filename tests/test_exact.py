@@ -1,6 +1,5 @@
 import random
 from fractions import Fraction
-from math import gcd
 
 import pytest
 
@@ -10,10 +9,6 @@ from delsarte.exact import (
     mat4_det,
     mat4_inverse,
     qz,
-    qz_add,
-    qz_lift,
-    qz_order,
-    qz_scale,
     row_vec_apply,
 )
 
@@ -27,34 +22,6 @@ def test_qz_normalize():
     assert qz(5, -3) == F(1, 3)
     with pytest.raises(ZeroDivisionError):
         qz(1, 0)
-
-
-def test_qz_group_ops():
-    assert qz_add(F(1, 3), F(2, 3)) == 0
-    assert qz_scale(5, F(1, 6)) == F(5, 6)
-    assert qz_scale(7, F(7, 20)) == F(9, 20)
-
-
-def test_qz_order():
-    assert qz_order(F(0)) == 1
-    assert qz_order(F(2, 3)) == 3
-    assert qz_order(F(7, 20)) == 20
-
-
-def test_qz_lift():
-    assert qz_lift(F(0)) == 0
-    assert qz_lift(F(2, 3)) == F(2, 3)
-    assert qz_lift(qz(-1, 3)) == F(2, 3)
-
-
-def test_inverse_pairs_and_order_law():
-    rng = random.Random(7)
-    for _ in range(200):
-        den = rng.randrange(1, 40)
-        a = qz(rng.randrange(0, den), den)
-        assert qz_add(a, qz_scale(-1, a)) == 0
-        t = rng.randrange(-30, 30)
-        assert qz_order(qz_scale(t, a)) == qz_order(a) // gcd(t, qz_order(a))
 
 
 IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
