@@ -19,7 +19,6 @@ from .catalog import (
     load_catalog,
 )
 from .errors import DelsarteError
-from .exact import qz
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import (
     ExponentMatrix,
@@ -74,7 +73,6 @@ __all__ = [
     "lefschetz_number",
     "load_catalog",
     "mordell_weil_rank",
-    "qz",
     "rho_triv",
     "second_betti",
     "to_default_position",

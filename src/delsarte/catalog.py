@@ -12,6 +12,7 @@ replays every table row through its representative.
 
 from __future__ import annotations
 
+import gc
 import re
 from dataclasses import dataclass
 from fractions import Fraction
@@ -81,7 +82,7 @@ def parse_affine(text: str) -> Affine:
     for piece in pieces:
         match = _AFFINE_PIECE.match(piece)
         if match is None:
-            raise ValueError(f"bad affine expression {text!r}")
+            raise ValueError(f"bad affine expression {_quote(text)}")
         sign = -1 if match.group(1) == "-" else 1
         if match.group(4) is not None:
             const += sign * Fraction(match.group(4))
@@ -97,13 +98,18 @@ def parse_affine(text: str) -> Affine:
 _TOKEN = re.compile(r"\s*(\d+|[tn^*+\-()/])")
 
 
+def _quote(text: str) -> str:
+    """repr of an expression text, cut to its first 40 characters and "…"."""
+    return repr(text if len(text) <= 40 else text[:40] + "…")
+
+
 def _tokenize(text: str):
     tokens = []
     pos = 0
     while pos < len(text):
         match = _TOKEN.match(text, pos)
         if match is None:
-            raise ValueError(f"bad character {text[pos]!r} in {text!r}")
+            raise ValueError(f"bad character {text[pos]!r} in {_quote(text)}")
         tokens.append(match.group(1))
         pos = match.end()
     return tokens
@@ -167,7 +173,7 @@ class PolyExpr:
         self._tokens = tokens
         terms = self._expr()
         if self._pos != len(tokens):
-            raise ValueError(f"trailing input in {text!r}")
+            raise ValueError(f"trailing input in {_quote(text)}")
         self.terms = terms
         del self._pos, self._depth, self._tokens
 
@@ -177,13 +183,13 @@ class PolyExpr:
     def _take(self, expected=None):
         tok = self._peek()
         if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected or 'token'}, got {tok!r} in {self.text!r}")
+            raise ValueError(f"expected {expected or 'token'}, got {_quote(tok or '')} in {_quote(self.text)}")
         self._pos += 1
         return tok
 
     def _capped(self, terms):
         if len(terms) > MAX_TERMS:
-            raise ValueError(f"more than {MAX_TERMS} monomials in {self.text!r}")
+            raise ValueError(f"more than {MAX_TERMS} monomials in {_quote(self.text)}")
         return terms
 
     def _expr(self):
@@ -205,9 +211,9 @@ class PolyExpr:
             return base
         power = self._take()
         if not power.isdigit():
-            raise ValueError(f"non-integer power in {self.text!r}")
+            raise ValueError(f"non-integer power in {_quote(self.text)}")
         if int(power) > MAX_POWER:
-            raise ValueError(f"power {power} above the cap of {MAX_POWER} in {self.text!r}")
+            raise ValueError(f"power {_quote(power)} above the cap of {MAX_POWER} in {_quote(self.text)}")
         result = {(0, 0): 1}
         for _ in range(int(power)):
             result = self._capped(_product(result, base))
@@ -219,7 +225,7 @@ class PolyExpr:
             self._take()
             self._depth += 1
             if self._depth > MAX_NESTING:
-                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} in {self.text!r}")
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} in {_quote(self.text)}")
             terms = self._expr()
             self._take(")")
             self._depth -= 1
@@ -234,10 +240,10 @@ class PolyExpr:
             if self._try("/"):
                 den = self._take()
                 if not den.isdigit():
-                    raise ValueError(f"bad rational in {self.text!r}")
+                    raise ValueError(f"bad rational in {_quote(self.text)}")
                 value = _exact(Fraction(value, int(den)))
             return {(0, 0): value} if value else {}
-        raise ValueError(f"unexpected token {tok!r} in {self.text!r}")
+        raise ValueError(f"unexpected token {tok!r} in {_quote(self.text)}")
 
     def _exponent(self):
         # t without ^ means exponent 1
@@ -247,7 +253,7 @@ class PolyExpr:
             parts = []
             while self._peek() != ")":
                 if self._peek() is None:
-                    raise ValueError(f"unbalanced exponent in {self.text!r}")
+                    raise ValueError(f"unbalanced exponent in {_quote(self.text)}")
                 parts.append(self._take())
             self._take(")")
             return parse_affine("".join(parts))
@@ -258,7 +264,7 @@ class PolyExpr:
             if self._try("n"):
                 return Affine(slope=Fraction(int(tok)))
             return Affine(Fraction(int(tok)))
-        raise ValueError(f"bad exponent in {self.text!r}")
+        raise ValueError(f"bad exponent in {_quote(self.text)}")
 
     def _try(self, token):
         if self._peek() == token:
@@ -272,7 +278,7 @@ class PolyExpr:
         for (c, s), coeff in self.terms.items():
             exponent, rest = divmod(c + s * n, 1)
             if rest:
-                raise ValueError(f"exponent {Affine(c, s)} of {self.text!r} is not integral at n={n}")
+                raise ValueError(f"exponent {Affine(c, s)} of {_quote(self.text)} is not integral at n={n}")
             pairs.append((exponent, coeff))
         return SparsePoly(pairs)
 
@@ -692,4 +698,9 @@ def load_catalog(path=None) -> Catalog:
                 f"representative {rep_id!r} has no family row",
                 record_lines["representative", rep_id],
             )
+    # The catalog and most objects the imports made live as long as the
+    # process. Collecting the young generations now moves them to the old
+    # one, so the young collection that scans them all runs here, not in
+    # whichever early operation crosses the allocation threshold.
+    gc.collect(1)
     return catalog

@@ -13,6 +13,7 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from itertools import chain
 
 from . import oracles
 from .catalog import load_catalog
@@ -320,16 +321,37 @@ def _cmd_census(args, catalog):
 
 # --- verify suites --------------------------------------------------------------
 
+#: Most characters, summed over every case, that the lambda suite may
+#: enumerate by brute force; --nmax 120 takes 44429 of them.
+LAMBDA_SUITE_BUDGET = 50_000
+
+
 def _verify_lambda(cat, nmax):
-    results = []
-    for rep_id in cat.representatives:
-        values = [n for n in range(1, nmax + 1) if n % cat.representatives[rep_id].divisibility == 0]
-        values += [7, 9, 25]
-        bad = []
-        for n in values:
+    """Brute force against the fast count at n = div, 2 div, ..., nmax and at 7, 9, 25.
+
+    The cases are built first, adding up |L| as they go, n ascending
+    through each representative's multiples of div. GroupTooLargeError is
+    raised as soon as the sum passes LAMBDA_SUITE_BUDGET, so no brute force
+    runs on a workload above it and a huge --nmax stops after a few cases.
+    """
+    cases = []
+    total = 0
+    for rep_id, rep in cat.representatives.items():
+        matrices = []
+        for n in chain(range(rep.divisibility, nmax + 1, rep.divisibility), (7, 9, 25)):
             matrix = homogenize(cat.family_terms(rep_id, n))
-            if oracles.brute_lambda(matrix) != lefschetz_number(matrix):
-                bad.append(n)
+            matrices.append((n, matrix))
+            total += group_order(matrix)
+            if total > LAMBDA_SUITE_BUDGET:
+                raise GroupTooLargeError(
+                    f"the lambda suite up to --nmax {nmax} enumerates more than "
+                    f"{LAMBDA_SUITE_BUDGET} characters"
+                )
+        cases.append((rep_id, matrices))
+    results = []
+    for rep_id, matrices in cases:
+        bad = [n for n, matrix in matrices if oracles.brute_lambda(matrix) != lefschetz_number(matrix)]
+        values = [n for n, _ in matrices]
         results.append(
             (f"lambda {rep_id} (n in {values})", not bad, f"mismatch at {bad}" if bad else "")
         )

@@ -5,11 +5,13 @@ whose exponents form a 4x4 matrix A (columns X, Y, Z, T; every row sums
 to the degree). When A is nonsingular, the rows (1,0,0,-1)A^-1,
 (0,1,0,-1)A^-1 and (0,0,1,-1)A^-1 generate a finite subgroup L of
 (Q/Z)^4. Since A^-1 = adj(A) / det A, the generators are integer
-numerators over |det A|, taken straight from the integer adjugate. The
-Lefschetz number of the surface is the number of elements of L with all
-four coordinates nonzero for which some integer t, preserving every
-coordinate order, makes the fractional lifts of the scaled coordinates
-sum to something other than 2.
+numerators over |det A|, taken straight from the integer adjugate. Each
+matrix carries its adjugate, computed once on construction, and reads
+det A off it by Laplace expansion along row 0. The Lefschetz number of
+the surface is the number of elements of L with all four coordinates
+nonzero for which some integer t, preserving every coordinate order,
+makes the fractional lifts of the scaled coordinates sum to something
+other than 2.
 
 |L| is |det A| / d. The Lefschetz number never enumerates L: it splits
 L into its p-parts L_p, row-reduces the generators to a basis of each,
@@ -28,7 +30,6 @@ from itertools import product
 from math import gcd, lcm
 
 from .errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
-from .exact import QZVec4, mat4_adjugate, mat4_det, qzvec
 
 #: One exponent triple (t_exp, x_exp, y_exp).
 Term = tuple[int, int, int]
@@ -46,12 +47,38 @@ def validate_terms(terms) -> tuple[Term, ...]:
     return terms
 
 
+def mat4_adjugate(rows):
+    """Adjugate of a 4x4 integer matrix as a tuple of integer rows.
+
+    adj(A)[i][j] is the (j, i) cofactor, so A * adj(A) = det(A) * I and,
+    for nonsingular A, the inverse is adj(A) / det(A). Each cofactor is
+    expanded along the 2x2 minors of rows 0-1 (s) and rows 2-3 (t).
+    """
+    (a0, a1, a2, a3), (b0, b1, b2, b3), (c0, c1, c2, c3), (d0, d1, d2, d3) = rows
+    s01, s02, s03 = a0 * b1 - a1 * b0, a0 * b2 - a2 * b0, a0 * b3 - a3 * b0
+    s12, s13, s23 = a1 * b2 - a2 * b1, a1 * b3 - a3 * b1, a2 * b3 - a3 * b2
+    t01, t02, t03 = c0 * d1 - c1 * d0, c0 * d2 - c2 * d0, c0 * d3 - c3 * d0
+    t12, t13, t23 = c1 * d2 - c2 * d1, c1 * d3 - c3 * d1, c2 * d3 - c3 * d2
+    return (
+        (b1 * t23 - b2 * t13 + b3 * t12, -a1 * t23 + a2 * t13 - a3 * t12,
+         d1 * s23 - d2 * s13 + d3 * s12, -c1 * s23 + c2 * s13 - c3 * s12),
+        (-b0 * t23 + b2 * t03 - b3 * t02, a0 * t23 - a2 * t03 + a3 * t02,
+         -d0 * s23 + d2 * s03 - d3 * s02, c0 * s23 - c2 * s03 + c3 * s02),
+        (b0 * t13 - b1 * t03 + b3 * t01, -a0 * t13 + a1 * t03 - a3 * t01,
+         d0 * s13 - d1 * s03 + d3 * s01, -c0 * s13 + c1 * s03 - c3 * s01),
+        (-b0 * t12 + b1 * t02 - b2 * t01, a0 * t12 - a1 * t02 + a2 * t01,
+         -d0 * s12 + d1 * s02 - d2 * s01, c0 * s12 - c1 * s02 + c2 * s01),
+    )
+
+
 @dataclass(frozen=True)
 class ExponentMatrix:
     """4x4 matrix of homogenized exponents, columns ordered (X, Y, Z, T).
 
-    ``determinant`` is computed once on construction and stored outside
-    the dataclass fields, so equality and hashing use (rows, degree) only.
+    ``adjugate`` is computed once on construction and ``determinant`` is
+    read off it (row 0 of A times column 0 of adj A). Both are stored
+    outside the dataclass fields, so equality and hashing use
+    (rows, degree) only.
     """
 
     rows: tuple[tuple[int, int, int, int], ...]
@@ -66,11 +93,13 @@ class ExponentMatrix:
             raise ValueError("exponents must be nonnegative")
         if any(sum(row) != self.degree for row in rows):
             raise ValueError("every row must sum to the degree")
-        determinant = mat4_det(rows)
+        adjugate = mat4_adjugate(rows)
+        determinant = sum(a * row[0] for a, row in zip(rows[0], adjugate))
         if determinant == 0:
             raise SingularMatrixError(
                 "exponent matrix is singular; the character-group method does not apply"
             )
+        object.__setattr__(self, "adjugate", adjugate)
         object.__setattr__(self, "determinant", determinant)
 
 
@@ -96,7 +125,7 @@ def _generator_cells(matrix: ExponentMatrix):
     denominator. Returns (numerator tuples, modulus); cell[j]/modulus is
     the j-th coordinate, in [0, 1).
     """
-    adj = mat4_adjugate(matrix.rows)
+    adj = matrix.adjugate
     det = matrix.determinant
     size = abs(det)
     sign = 1 if det > 0 else -1
@@ -108,7 +137,7 @@ def _generator_cells(matrix: ExponentMatrix):
     return [tuple(c // g for c in cell) for cell in cells], size // g
 
 
-def lattice_generators(matrix: ExponentMatrix) -> tuple[QZVec4, QZVec4, QZVec4]:
+def lattice_generators(matrix: ExponentMatrix) -> tuple[tuple[Fraction, ...], ...]:
     """The three generators of L, reduced coordinatewise into [0, 1)."""
     cells, modulus = _generator_cells(matrix)
     return tuple(tuple(Fraction(c, modulus) for c in cell) for cell in cells)
@@ -247,7 +276,9 @@ def in_lambda(vector) -> bool:
     exactly order preservation) has lifts summing to something other
     than 2.
     """
-    vector = qzvec(vector)
+    vector = tuple(Fraction(c) % 1 for c in vector)
+    if len(vector) != 4:
+        raise ValueError(f"expected 4 coordinates, got {len(vector)}")
     m = lcm(*(f.denominator for f in vector))
     return _admissible(tuple(int(f * m) for f in vector), m)
 

@@ -15,8 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import GroupTooLargeError
-from .exact import mat4_inverse, row_vec_apply
+from .errors import GroupTooLargeError, SingularMatrixError
 from .lattice import MAX_GROUP_ORDER, ExponentMatrix, group_order
 from .polygon import lattice_counts, polygon_edges
 from . import polygon as _polygon
@@ -38,6 +37,38 @@ def _naive_member(vec) -> bool:
             continue
         sums.append(sum((t * f) % 1 for f in vec))
     return any(s != 2 for s in sums)
+
+
+def mat4_inverse(rows):
+    """Exact inverse of a 4x4 matrix as a tuple of Fraction rows, by Gauss-Jordan.
+
+    Raises SingularMatrixError when the determinant vanishes.
+    """
+    work = [[Fraction(rows[i][j]) for j in range(4)] for i in range(4)]
+    inv = [[Fraction(int(i == j)) for j in range(4)] for i in range(4)]
+    for col in range(4):
+        pivot = next((r for r in range(col, 4) if work[r][col]), None)
+        if pivot is None:
+            raise SingularMatrixError("matrix is singular")
+        if pivot != col:
+            work[col], work[pivot] = work[pivot], work[col]
+            inv[col], inv[pivot] = inv[pivot], inv[col]
+        p = work[col][col]
+        work[col] = [x / p for x in work[col]]
+        inv[col] = [x / p for x in inv[col]]
+        for r in range(4):
+            if r != col and work[r][col]:
+                f = work[r][col]
+                work[r] = [x - f * y for x, y in zip(work[r], work[col])]
+                inv[r] = [x - f * y for x, y in zip(inv[r], inv[col])]
+    return tuple(tuple(r) for r in inv)
+
+
+def row_vec_apply(vec, matrix):
+    """Row vector times 4x4 matrix, each entry reduced into [0, 1)."""
+    return tuple(
+        sum(Fraction(vec[k]) * matrix[k][j] for k in range(4)) % 1 for j in range(4)
+    )
 
 
 def gauss_jordan_generators(matrix: ExponentMatrix):

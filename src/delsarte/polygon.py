@@ -192,7 +192,16 @@ TABLE_CLASSES = (
     PolygonClass("w12", ((0, 0), (2, 0), (2, 2), (0, 2))),
 )
 
-_CENSUS_BOUND = 4
+# Default-position hulls of the four classes with five or six corners, which
+# no quadrinomial reaches; the census in [0, 4]^2 finds exactly these.
+EXTRA_CLASSES = (
+    PolygonClass("x1", ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))),
+    PolygonClass("x2", ((0, 0), (1, 0), (2, 1), (1, 2), (0, 2))),
+    PolygonClass("x3", ((0, 0), (1, 0), (2, 1), (2, 2), (0, 2))),
+    PolygonClass("x4", ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1))),
+)
+
+_CLASSES = TABLE_CLASSES + EXTRA_CLASSES
 
 
 def _dedupe_by_equivalence(polygons):
@@ -251,23 +260,6 @@ def _census_representatives(bound: int):
     return _dedupe_by_equivalence(candidates)
 
 
-@lru_cache(maxsize=1)
-def _extra_classes():
-    """The >4-corner classes, labelled x1..x4 from the bound-4 census."""
-    extras = [
-        poly
-        for poly in _census_representatives(_CENSUS_BOUND)
-        if all(
-            integral_equivalence(poly, cls.vertices) is None
-            for cls in TABLE_CLASSES
-        )
-    ]
-    extras.sort(key=lambda poly: (len(poly), poly))
-    return tuple(
-        PolygonClass(f"x{i}", poly) for i, poly in enumerate(extras, start=1)
-    )
-
-
 def classify_one_interior(polygon: Polygon) -> PolygonClass:
     """The unique class whose representative is equivalent to `polygon`.
 
@@ -279,10 +271,7 @@ def classify_one_interior(polygon: Polygon) -> PolygonClass:
         raise NotOneInteriorError(
             f"polygon has {interior} interior points, classification needs 1"
         )
-    for cls in TABLE_CLASSES:
-        if integral_equivalence(polygon, cls.vertices) is not None:
-            return cls
-    for cls in _extra_classes():
+    for cls in _CLASSES:
         if integral_equivalence(polygon, cls.vertices) is not None:
             return cls
     raise ClassificationError(f"no class matches {polygon}")
@@ -292,15 +281,14 @@ def enumerate_one_interior_classes(bound: int):
     """Census of one-interior-point polygon classes inside [0, bound]^2.
 
     A pruned search over vertex sets of size 3..6; each class is returned
-    once with the label it carries in the canonical classification.
+    once with the label it carries in the canonical classification, in
+    table order. The census thereby checks the literal class table: a
+    polygon it finds that matches no class raises ClassificationError.
     """
     if bound < 4:
         raise ValueError("census bound must be at least 4")
-    classes = []
-    for rep in _census_representatives(bound):
-        classes.append(classify_one_interior(rep))
-    classes.sort(key=lambda cls: (cls.label[0] != "w", len(cls.label), cls.label))
-    return classes
+    classes = [classify_one_interior(rep) for rep in _census_representatives(bound)]
+    return sorted(classes, key=_CLASSES.index)
 
 
 def transform_support(points, umap: UnimodularAffineMap):

@@ -3,16 +3,17 @@ import os
 import subprocess
 import sys
 import time
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delsarte
-from delsarte import lattice
+from delsarte import lattice, lefschetz_number, oracles
 
 from delsarte.catalog import DEFAULT_CATALOG
-from delsarte.cli import main, parse_polynomial
+from delsarte.cli import LAMBDA_SUITE_BUDGET, main, parse_polynomial
 from delsarte.errors import PolynomialSyntaxError
 
 
@@ -223,6 +224,43 @@ def test_verify_lambda_suite_small_cap(capsys):
     assert "11/11 checks passed" in capsys.readouterr().out
 
 
+def test_verify_lambda_suite_refuses_work_above_its_budget(monkeypatch, capsys):
+    # Sum of |L| over the cases: 49595 at --nmax 131, 52103 at 132. The
+    # brute force is stood in for by the fast count, so only the budget is
+    # under test, and it must refuse before any brute force runs.
+    calls = []
+
+    def brute(matrix):
+        calls.append(matrix)
+        return lefschetz_number(matrix)
+
+    monkeypatch.setattr(oracles, "brute_lambda", brute)
+    for nmax in ("60", "131"):
+        assert main(["verify", "--suite", "lambda", "--nmax", nmax]) == 0, nmax
+        assert "11/11 checks passed" in capsys.readouterr().out
+    calls.clear()
+    for nmax in ("132", "1000000000000"):
+        start = time.perf_counter()
+        assert main(["verify", "--suite", "lambda", "--nmax", nmax]) == 3, nmax
+        assert time.perf_counter() - start < 1.0
+        assert f"{LAMBDA_SUITE_BUDGET} characters" in capsys.readouterr().err
+    assert not calls
+
+
+GOLDEN_CLI = Path(__file__).resolve().parent.parent / "perfbench" / "golden" / "cli.json"
+
+
+def test_golden_cli_outputs_replay(capsys):
+    # Every command the benchmark checks its CLI outputs against, run in
+    # process: exit 0 and the same stdout, byte for byte.
+    golden = json.loads(GOLDEN_CLI.read_text())
+    cases = [case for kind in sorted(golden) for case in golden[kind]]
+    assert len(cases) == 265
+    for case in cases:
+        assert main(case["argv"]) == 0, case["argv"]
+        assert capsys.readouterr().out == case["stdout"], case["argv"]
+
+
 def test_output_byte_stability(capsys):
     main(["rank", "--family", "11", "--n", "120", "--json"])
     first = capsys.readouterr().out
@@ -298,7 +336,9 @@ def test_long_product_chain_in_catalog_exits_at_its_line(tmp_path, capsys):
     start = time.perf_counter()
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 2
     assert time.perf_counter() - start < 1.0
-    assert "line 86" in capsys.readouterr().err
+    err = capsys.readouterr().err
+    assert "line 86" in err
+    assert len(err) < 200, err
 
 
 _NO_NUMPY_SCRIPT = """

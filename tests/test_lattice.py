@@ -1,3 +1,4 @@
+import random
 from fractions import Fraction
 
 import pytest
@@ -11,13 +12,19 @@ from delsarte import (
 )
 from delsarte import lattice
 from delsarte.errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
-from delsarte.exact import qz
-from property_suites import group_elements
+from delsarte.lattice import ExponentMatrix, mat4_adjugate
+from delsarte.oracles import mat4_inverse
+from property_suites import group_elements, leibniz_det, random_matrix, residue
 
 F = Fraction
 
 TERMS_1D_60 = ((0, 0, 0), (60, 3, 0), (0, 3, 0), (0, 0, 2))
 TERMS_1A_6 = ((0, 0, 0), (6, 0, 0), (0, 3, 0), (0, 0, 2))
+
+IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+# the worked-example matrix at n = 60
+A60 = ((0, 0, 63, 0), (3, 0, 0, 60), (3, 0, 60, 0), (0, 2, 61, 0))
 
 
 def test_homogenize_worked_example():
@@ -40,6 +47,39 @@ def test_homogenize_errors():
         homogenize(((0, 0, 0), (0, 0, 0), (0, 1, 0), (0, 2, 0)))
     with pytest.raises(ValueError):
         homogenize(((0, 0, 0), (0, 1, 0), (0, 2, 0)))
+
+
+def test_determinant_worked_example():
+    matrix = ExponentMatrix(A60, 63)
+    assert matrix.determinant == 22680
+    assert matrix.adjugate == mat4_adjugate(A60)
+    # det A is read off the stored adjugate; check it against the Leibniz sum.
+    rng = random.Random(17)
+    for _ in range(50):
+        matrix = random_matrix(rng)
+        assert matrix.determinant == leibniz_det(matrix.rows), matrix.rows
+
+
+def test_mat4_adjugate_worked_example():
+    adj = mat4_adjugate(A60)
+    inverse = mat4_inverse(A60)
+    assert all(isinstance(x, int) for row in adj for x in row)
+    assert adj == tuple(tuple(x * 22680 for x in row) for row in inverse)
+    assert mat4_adjugate(IDENTITY) == IDENTITY
+
+
+def test_mat4_adjugate_random_identity():
+    # A adj(A) = adj(A) A = det(A) I, singular matrices included.
+    rng = random.Random(13)
+    for _ in range(300):
+        rows = tuple(tuple(rng.randrange(-9, 10) for _ in range(4)) for _ in range(4))
+        adj = mat4_adjugate(rows)
+        det = leibniz_det(rows)
+        for i in range(4):
+            for j in range(4):
+                want = det * int(i == j)
+                assert sum(rows[i][k] * adj[k][j] for k in range(4)) == want, rows
+                assert sum(adj[i][k] * rows[k][j] for k in range(4)) == want, rows
 
 
 def test_generators_worked_example():
@@ -82,7 +122,7 @@ def test_in_lambda_zero_coordinate():
 def test_in_lambda_always_two():
     # (1/2, <-i/n>, <i/n>, 1/2): every multiplier sums the lifts to 2
     for i in (1, 2, 7, 30, 59):
-        vec = (F(1, 2), qz(-i, 60), qz(i, 60), F(1, 2))
+        vec = (F(1, 2), residue(-i, 60), residue(i, 60), F(1, 2))
         assert not in_lambda(vec)
 
 
@@ -134,17 +174,16 @@ def test_reduced_generator_presentations(catalog):
     for rep_id, reduced in _reduced_generators(n).items():
         matrix = homogenize(catalog.family_terms(rep_id, n))
         from_matrix = group_elements(lattice_generators(matrix))
-        from_reduced = group_elements([tuple(qz(f) for f in g) for g in reduced])
+        from_reduced = group_elements([tuple(residue(f) for f in g) for g in reduced])
         assert from_matrix == from_reduced, rep_id
 
 
 def test_in_lambda_depends_on_coordinate_multiset_only():
     import itertools
-    import random
 
     rng = random.Random(3)
     for _ in range(30):
-        vec = tuple(qz(rng.randrange(0, 12), rng.randrange(1, 13)) for _ in range(4))
+        vec = tuple(residue(rng.randrange(0, 12), rng.randrange(1, 13)) for _ in range(4))
         verdicts = {in_lambda(perm) for perm in itertools.permutations(vec)}
         assert len(verdicts) == 1, vec
 
@@ -191,7 +230,6 @@ def test_admissible_half_scan_matches_naive_member():
     # Every cell over m = 1..4, then random cells over m = 5..60, a quarter
     # of them with a zero coordinate forced in.
     import itertools
-    import random
 
     from delsarte.oracles import _naive_member
 

@@ -6,7 +6,7 @@ import pytest
 
 from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
 from delsarte import lattice
-from delsarte.errors import GroupTooLargeError
+from delsarte.errors import GroupTooLargeError, SingularMatrixError
 from delsarte.lattice import _basis, _generator_cells, _orbit_normal_forms, _prime_powers
 from delsarte.oracles import (
     _numerators,
@@ -15,13 +15,65 @@ from delsarte.oracles import (
     closure_cells,
     gauss_jordan_generators,
     interior_scan,
+    mat4_inverse,
     one_interior_polygons,
     prime_gap_scan,
+    row_vec_apply,
     scan_lambda,
     scan_points,
 )
 from delsarte.polygon import _census_search
-from property_suites import random_matrix
+from property_suites import leibniz_det, random_matrix
+
+F = Fraction
+
+IDENTITY = ((1, 0, 0, 0), (0, 1, 0, 0), (0, 0, 1, 0), (0, 0, 0, 1))
+
+# the worked-example matrix at n = 60
+A60 = ((0, 0, 63, 0), (3, 0, 0, 60), (3, 0, 60, 0), (0, 2, 61, 0))
+
+
+def test_mat4_inverse_identity():
+    assert mat4_inverse(IDENTITY) == tuple(tuple(map(F, row)) for row in IDENTITY)
+
+
+def test_mat4_inverse_worked_example():
+    inverse = mat4_inverse(A60)
+    assert inverse[0] == (F(-20, 63), F(0), F(1, 3), F(0))
+    # exact two-sided identity
+    for i in range(4):
+        for j in range(4):
+            assert sum(A60[i][k] * inverse[k][j] for k in range(4)) == int(i == j)
+
+
+def test_mat4_inverse_singular():
+    rows = ((1, 2, 3, 4), (1, 2, 3, 4), (0, 1, 0, 0), (0, 0, 1, 0))
+    assert leibniz_det(rows) == 0
+    with pytest.raises(SingularMatrixError):
+        mat4_inverse(rows)
+
+
+def test_mat4_inverse_random_roundtrip():
+    rng = random.Random(11)
+    done = 0
+    while done < 50:
+        rows = tuple(tuple(rng.randrange(-9, 10) for _ in range(4)) for _ in range(4))
+        if leibniz_det(rows) == 0:
+            continue
+        inverse = mat4_inverse(rows)
+        for i in range(4):
+            for j in range(4):
+                assert sum(rows[i][k] * inverse[k][j] for k in range(4)) == int(i == j)
+        done += 1
+
+
+def test_row_vec_apply():
+    inverse = mat4_inverse(A60)
+    assert row_vec_apply((0, 0, 1, -1), inverse) == (F(0), F(59, 60), F(1, 60), F(0))
+    assert row_vec_apply((1, 0, 0, -1), inverse) == (F(2, 3), F(59, 60), F(7, 20), F(0))
+    identity = mat4_inverse(IDENTITY)
+    assert row_vec_apply((2, -1, 7, 5), identity) == (F(0), F(0), F(0), F(0))
+    assert row_vec_apply((1, 0, 0, -1), identity) == (F(0), F(0), F(0), F(0))
 
 
 def test_brute_matches_main_on_fixed_cases(catalog):

@@ -13,8 +13,9 @@ from delsarte import (
     to_default_position,
     transform_support,
 )
+from delsarte import polygon
 from delsarte.errors import DegenerateSupportError, NotOneInteriorError
-from delsarte.polygon import TABLE_CLASSES
+from delsarte.polygon import EXTRA_CLASSES, TABLE_CLASSES
 
 W1 = ((0, 0), (3, 0), (0, 2))
 
@@ -73,10 +74,26 @@ def test_equivalence_distinguishes_parallelograms():
     assert integral_equivalence(w6, w10) is None
 
 
-def test_classify_examples():
+def test_classify_examples(monkeypatch):
+    def no_census(bound):
+        raise AssertionError(f"classification ran the census in [0, {bound}]^2")
+
+    monkeypatch.setattr(polygon, "_census_search", no_census)
+    monkeypatch.setattr(polygon, "_census_representatives", no_census)
     assert classify_one_interior(W1).label == "w1"
     assert classify_one_interior(((0, 0), (2, 0), (2, 2), (0, 2))).label == "w12"
     assert classify_one_interior(((0, 0), (3, 0), (2, 1), (0, 2))).label == "w8"
+    # The classes with five and six corners, each moved by a shear and a shift.
+    shear = UnimodularAffineMap(((1, 1), (0, 1)), (2, -3))
+    for label, vertices in (
+        ("x1", ((0, 0), (1, 0), (2, 1), (1, 2), (0, 1))),
+        ("x2", ((0, 0), (1, 0), (2, 1), (1, 2), (0, 2))),
+        ("x3", ((0, 0), (1, 0), (2, 1), (2, 2), (0, 2))),
+        ("x4", ((0, 0), (1, 0), (2, 1), (2, 2), (1, 2), (0, 1))),
+    ):
+        moved = convex_hull(shear.apply(v) for v in vertices)
+        assert moved != vertices
+        assert classify_one_interior(moved).label == label
 
 
 def test_classify_requires_one_interior():
@@ -114,7 +131,7 @@ def test_census_classes_pairwise_inequivalent():
 
 
 def test_table_class_representatives_have_one_interior():
-    for cls in TABLE_CLASSES:
+    for cls in TABLE_CLASSES + EXTRA_CLASSES:
         interior, _, _ = lattice_counts(cls.vertices)
         assert interior == 1, cls
 
