@@ -34,7 +34,6 @@ from .polygon import (
     classify_one_interior,
     convex_hull,
     enumerate_one_interior_classes,
-    genus_of_support,
     integral_equivalence,
     lattice_counts,
     to_default_position,
@@ -62,7 +61,6 @@ __all__ = [
     "discriminant",
     "enumerate_one_interior_classes",
     "euler_number",
-    "genus_of_support",
     "group_order",
     "homogenize",
     "in_lambda",

@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import gc
 import re
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
@@ -360,17 +360,7 @@ class TableEntry:
     match: bool
 
     def to_dict(self):
-        return {
-            "id": self.id,
-            "polygon": self.polygon,
-            "table_n": self.table_n,
-            "rep": self.rep,
-            "rep_n": self.rep_n,
-            "own_lambda": self.own_lambda,
-            "computed_rank": self.computed_rank,
-            "expected_rank": self.expected_rank,
-            "match": self.match,
-        }
+        return asdict(self)
 
 
 _FIBER_ENTRY = re.compile(r"^(I\*?|II\*?|III\*?|IV\*?)(?:\(([^)]*)\))?:(.+)$")
@@ -447,10 +437,19 @@ class Catalog:
         row = self.row(family_id)
         return sorted({(x, y) for _, x, y in row.terms})
 
-    def representative_of(self, family_id: str):
-        """(representative id, parameter multiplier q): row at n maps to rep at q*n."""
+    def representative_at(self, family_id: str, n: int):
+        """(representative id, its parameter): the row at n maps to its representative at nmap*n.
+
+        Raises DivisibilityError unless nmap*n is a positive integer.
+        """
         row = self.row(family_id)
-        return row.rep, row.nmap
+        rep_n = row.nmap * n
+        if rep_n.denominator != 1 or rep_n < 1:
+            raise DivisibilityError(
+                f"family {family_id} at n={n} maps to the representative "
+                f"at {rep_n}, which is not a positive integer"
+            )
+        return row.rep, int(rep_n)
 
     def fibers_at(self, rep_id: str, n: int):
         rep = self.representative(rep_id)
@@ -528,10 +527,7 @@ class Catalog:
         row = self.row(family_id)
         if row.neff is not None:
             return row.neff
-        value = row.nmap * row.table_n
-        if value.denominator != 1:
-            raise CatalogError(f"row {row.id}: nmap*table_n is not an integer")
-        return int(value)
+        return self.representative_at(row.id, row.table_n)[1]
 
     def reproduce_table(self):
         """Recompute every table row through its representative mapping."""
@@ -634,7 +630,11 @@ def load_catalog(path=None) -> Catalog:
     record_lines: dict[tuple[str, str], int] = {}
     # Split at newlines only: str.splitlines also breaks at form feeds, U+2028
     # and other separators, which would shift every later line number.
-    for line_no, raw in enumerate(path.read_text().split("\n"), start=1):
+    try:
+        text = path.read_text()
+    except OSError as exc:
+        raise CatalogError(f"cannot read {path}: {exc.strerror}") from None
+    for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:
             continue
@@ -671,6 +671,7 @@ def load_catalog(path=None) -> Catalog:
             homogenize(catalog.family_terms(row.id, row.table_n))
             hull = convex_hull(catalog.support(row.id))
             label = classify_one_interior(hull).label
+            _, rep_n = catalog.representative_at(row.id, row.table_n)
         except Exception as exc:
             raise CatalogError(f"row {row.id}: {exc}", line_no) from exc
         if label != row.polygon:
@@ -678,14 +679,9 @@ def load_catalog(path=None) -> Catalog:
                 f"row {row.id}: hull classifies as {label}, catalog says {row.polygon}",
                 line_no,
             )
-        rep_n = row.nmap * row.table_n
-        if rep_n.denominator != 1 or rep_n < 1:
-            raise CatalogError(f"row {row.id}: bad parameter mapping {rep_n}", line_no)
-        target = row.neff if row.neff is not None else int(rep_n)
-        if row.neff is not None and row.neff % int(rep_n):
-            raise CatalogError(
-                f"row {row.id}: neff={row.neff} is not a multiple of {int(rep_n)}", line_no
-            )
+        target = row.neff if row.neff is not None else rep_n
+        if target % rep_n:
+            raise CatalogError(f"row {row.id}: neff={row.neff} is not a multiple of {rep_n}", line_no)
         if target % reps[row.rep].divisibility:
             raise CatalogError(
                 f"row {row.id}: parameter {target} violates divisibility "

@@ -1,11 +1,11 @@
 """Command-line interface.
 
 Subcommands: lambda, rank, table, genus, classify, equiv, census, verify.
-Exit codes: 0 success/match, 2 invalid input, 3 precondition violation
-(singular matrix, divisibility, character group above
-lattice.MAX_GROUP_ORDER), 4 internal consistency (including
-|L| != |det A| / d) or table mismatch. Machine output via --json is
-byte-stable for fixed inputs.
+Exit codes: 0 success/match, 4 table or check mismatch; an error ends
+with the exit_code its class in errors.py carries (2 invalid input,
+3 precondition violation, 4 internal inconsistency), and a KeyError or
+ValueError with 2. Machine output via --json is byte-stable for fixed
+inputs.
 """
 
 from __future__ import annotations
@@ -17,33 +17,13 @@ from itertools import chain
 
 from . import oracles
 from .catalog import load_catalog
-from .errors import (
-    CatalogError,
-    ClassificationError,
-    DegenerateSupportError,
-    DelsarteError,
-    DivisibilityError,
-    GroupOrderError,
-    GroupTooLargeError,
-    NonEllipticError,
-    NotOneInteriorError,
-    PolynomialSyntaxError,
-    RankInconsistencyError,
-    SingularMatrixError,
-)
+from .errors import DelsarteError, GroupTooLargeError, PolynomialSyntaxError, SingularMatrixError
 from .lattice import group_order, homogenize, lefschetz_number
-from .polygon import (
-    classify_one_interior,
-    convex_hull,
-    genus_of_support,
-    integral_equivalence,
-    lattice_counts,
-)
+from .polygon import classify_one_interior, convex_hull, integral_equivalence, lattice_counts
 from .weierstrass import discriminant, j_invariant
 
 EXIT_OK = 0
 EXIT_INVALID = 2
-EXIT_PRECONDITION = 3
 EXIT_MISMATCH = 4
 
 
@@ -160,6 +140,8 @@ def _emit(args, payload, lines):
 def _terms_for(args, catalog):
     if getattr(args, "poly", None):
         return parse_polynomial(args.poly)
+    if args.n is None:
+        raise ValueError("--family requires --n")
     return catalog().family_terms(args.family, args.n)
 
 
@@ -192,14 +174,7 @@ def _cmd_rank(args, catalog):
     if args.rep:
         rep_id, rep_n = args.rep, args.n
     else:
-        rep_id, q = cat.representative_of(args.family)
-        rep_n_frac = q * args.n
-        if rep_n_frac.denominator != 1 or rep_n_frac < 1:
-            raise DivisibilityError(
-                f"family {args.family} at n={args.n} maps to the representative "
-                f"at {rep_n_frac}, which is not a positive integer"
-            )
-        rep_n = int(rep_n_frac)
+        rep_id, rep_n = cat.representative_at(args.family, args.n)
         if (args.family, rep_n) != (rep_id, args.n):
             lines.append(
                 f"family {args.family} at n = {args.n} -> representative {rep_id} at n = {rep_n}"
@@ -238,14 +213,15 @@ def _cmd_table(args, catalog):
 
 def _cmd_genus(args, catalog):
     terms = parse_polynomial(args.poly)
-    support = sorted({(x, y) for _, x, y in terms})
-    hull = convex_hull(support)
+    hull = convex_hull({(x, y) for _, x, y in terms})
+    # The interior count bounds the genus; it is exact when the curve is
+    # nondegenerate, which a nonsingular exponent matrix certifies.
     try:
         homogenize(terms)
-        nondegenerate = True
+        exact = True
     except SingularMatrixError:
-        nondegenerate = False
-    interior, exact = genus_of_support(support, nondegenerate)
+        exact = False
+    interior = lattice_counts(hull)[0]
     payload = {
         "polygon": [list(v) for v in hull],
         "interior": interior,
@@ -478,39 +454,15 @@ def build_parser():
 
 def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
-    if args.command == "lambda" and args.family and args.n is None:
-        print("error: --family requires --n", file=sys.stderr)
-        return EXIT_INVALID
 
     def catalog():
         return load_catalog(args.catalog)
 
     try:
         return args.func(args, catalog)
-    except (PolynomialSyntaxError, CatalogError, KeyError, ValueError) as exc:
+    except (DelsarteError, KeyError, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
-    except (
-        SingularMatrixError,
-        DivisibilityError,
-        GroupTooLargeError,
-        DegenerateSupportError,
-        NotOneInteriorError,
-        NonEllipticError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_PRECONDITION
-    except (
-        ClassificationError,
-        GroupOrderError,
-        RankInconsistencyError,
-        AssertionError,
-    ) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_MISMATCH
-    except DelsarteError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_INVALID
+        return getattr(exc, "exit_code", EXIT_INVALID)
 
 
 if __name__ == "__main__":

@@ -1,27 +1,47 @@
-"""Exception hierarchy shared by the package."""
+"""Exception hierarchy shared by the package.
+
+Each class carries the exit code the command line ends with when it is
+raised: 2 for invalid input (the default), 3 for a violated precondition
+of the method (PreconditionError) and 4 for an internal inconsistency
+(InconsistencyError).
+"""
 
 
 class DelsarteError(Exception):
-    """Base class for all errors raised by this package."""
+    """Base class for all errors raised by this package; invalid input."""
+
+    exit_code = 2
 
 
-class SingularMatrixError(DelsarteError):
+class PreconditionError(DelsarteError):
+    """The input is well formed, but the method does not apply to it."""
+
+    exit_code = 3
+
+
+class InconsistencyError(DelsarteError):
+    """Two computations that must agree disagree (internal bug)."""
+
+    exit_code = 4
+
+
+class SingularMatrixError(PreconditionError):
     """The exponent matrix is singular; the character-group method does not apply."""
 
 
-class DegenerateSupportError(DelsarteError):
+class DegenerateSupportError(PreconditionError):
     """The support does not span a two-dimensional polygon."""
 
 
-class NotOneInteriorError(DelsarteError):
+class NotOneInteriorError(PreconditionError):
     """Classification was asked for a polygon without exactly one interior point."""
 
 
-class ClassificationError(DelsarteError):
+class ClassificationError(InconsistencyError):
     """A one-interior-point polygon matched none of the 16 classes (internal bug)."""
 
 
-class NonEllipticError(DelsarteError):
+class NonEllipticError(PreconditionError):
     """The Weierstrass data has vanishing discriminant."""
 
 
@@ -29,19 +49,19 @@ class InvalidConfigError(DelsarteError):
     """Empty or malformed fiber configuration."""
 
 
-class RankInconsistencyError(DelsarteError):
+class RankInconsistencyError(InconsistencyError):
     """h2 - lambda - rho_triv came out negative; the inputs disagree."""
 
 
-class GroupTooLargeError(DelsarteError):
+class GroupTooLargeError(PreconditionError):
     """The character group has more elements than the enumeration cap."""
 
 
-class GroupOrderError(DelsarteError):
+class GroupOrderError(InconsistencyError):
     """The enumerated character group disagrees with |det A| / d (internal bug)."""
 
 
-class DivisibilityError(DelsarteError):
+class DivisibilityError(PreconditionError):
     """The parameter n violates a representative's divisibility requirement."""
 
 

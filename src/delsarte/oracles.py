@@ -15,7 +15,7 @@ from fractions import Fraction
 from itertools import combinations
 from math import gcd, lcm
 
-from .errors import GroupTooLargeError, SingularMatrixError
+from .errors import GroupTooLargeError, InconsistencyError, SingularMatrixError
 from .lattice import MAX_GROUP_ORDER, ExponentMatrix, group_order
 from .polygon import lattice_counts, polygon_edges
 from . import polygon as _polygon
@@ -307,7 +307,8 @@ def class_census(bound: int):
     """Census report: the one-interior-point classes inside [0, bound]^2.
 
     Every class representative is cross-checked against the scanning
-    counts (and hence against Pick's identity).
+    counts (and hence against Pick's identity); a disagreement raises
+    InconsistencyError.
     """
     classes = _polygon.enumerate_one_interior_classes(bound)
     histogram = {}
@@ -315,12 +316,12 @@ def class_census(bound: int):
         interior, boundary = interior_scan(cls.vertices)
         counted_interior, counted_boundary, _ = lattice_counts(cls.vertices)
         if (interior, boundary) != (counted_interior, counted_boundary):
-            raise AssertionError(
+            raise InconsistencyError(
                 f"census class {cls.label}: scan {(interior, boundary)} != "
                 f"counts {(counted_interior, counted_boundary)}"
             )
         if interior != 1:
-            raise AssertionError(f"census class {cls.label} has {interior} interior points")
+            raise InconsistencyError(f"census class {cls.label} has {interior} interior points")
         corners = len(cls.vertices)
         histogram[corners] = histogram.get(corners, 0) + 1
     return classes, histogram

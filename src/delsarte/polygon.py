@@ -204,15 +204,6 @@ EXTRA_CLASSES = (
 _CLASSES = TABLE_CLASSES + EXTRA_CLASSES
 
 
-def _dedupe_by_equivalence(polygons):
-    """Greedy pass keeping one representative per equivalence class."""
-    representatives = []
-    for poly in polygons:
-        if all(integral_equivalence(poly, rep) is None for rep in representatives):
-            representatives.append(poly)
-    return representatives
-
-
 #: Most corners a polygon with exactly one interior lattice point can have.
 _MAX_CORNERS = 6
 
@@ -253,13 +244,6 @@ def _census_search(bound: int):
     return sorted(found)
 
 
-@lru_cache(maxsize=4)
-def _census_representatives(bound: int):
-    candidates = _census_search(bound)
-    candidates.sort(key=lambda poly: (len(poly), poly))
-    return _dedupe_by_equivalence(candidates)
-
-
 def classify_one_interior(polygon: Polygon) -> PolygonClass:
     """The unique class whose representative is equivalent to `polygon`.
 
@@ -277,6 +261,13 @@ def classify_one_interior(polygon: Polygon) -> PolygonClass:
     raise ClassificationError(f"no class matches {polygon}")
 
 
+@lru_cache(maxsize=4)
+def _census_classes(bound: int):
+    """The classes of every polygon the census search finds, in table order."""
+    found = {classify_one_interior(poly) for poly in _census_search(bound)}
+    return tuple(cls for cls in _CLASSES if cls in found)
+
+
 def enumerate_one_interior_classes(bound: int):
     """Census of one-interior-point polygon classes inside [0, bound]^2.
 
@@ -287,8 +278,7 @@ def enumerate_one_interior_classes(bound: int):
     """
     if bound < 4:
         raise ValueError("census bound must be at least 4")
-    classes = [classify_one_interior(rep) for rep in _census_representatives(bound)]
-    return sorted(classes, key=_CLASSES.index)
+    return list(_census_classes(bound))
 
 
 def transform_support(points, umap: UnimodularAffineMap):
@@ -303,13 +293,3 @@ def transform_support(points, umap: UnimodularAffineMap):
     miny = min(y for _, y in image)
     return [(x - minx, y - miny) for x, y in image]
 
-
-def genus_of_support(points, nondegenerate: bool):
-    """(interior count of the support hull, exactness flag).
-
-    The count bounds the geometric genus of the curve with this support;
-    it is exact when the caller certifies nondegeneracy (in this package:
-    a nonsingular exponent matrix).
-    """
-    interior, _, _ = lattice_counts(convex_hull(points))
-    return interior, bool(nondegenerate)

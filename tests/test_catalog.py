@@ -61,10 +61,15 @@ def test_family_terms(catalog):
         catalog.family_terms("9z", 6)
 
 
-def test_representative_of(catalog):
-    assert catalog.representative_of("5b") == ("1a", 3)
-    assert catalog.representative_of("1a") == ("1a", 1)
-    assert catalog.representative_of("8") == ("1b", Fraction(3, 2))
+def test_representative_at(catalog):
+    assert catalog.representative_at("5b", 120) == ("1a", 360)
+    assert catalog.representative_at("1a", 7) == ("1a", 7)
+    assert catalog.representative_at("8", 560) == ("1b", 840)
+    for family_id, n in (("8", 3), ("1a", 0)):
+        with pytest.raises(DivisibilityError, match="not a positive integer"):
+            catalog.representative_at(family_id, n)
+    with pytest.raises(KeyError):
+        catalog.representative_at("9z", 6)
 
 
 def test_table_parameters(catalog):
@@ -95,7 +100,7 @@ def test_representative_rank_divisibility(catalog):
 
 
 def test_row_4f_maps_through_doubling(catalog):
-    assert catalog.representative_of("4f") == ("2a", 2)
+    assert catalog.representative_at("4f", 12) == ("2a", 24)
     assert catalog.table_parameter("4f") == 24
     entry = next(e for e in catalog.reproduce_table() if e.id == "4f")
     assert (entry.rep, entry.rep_n, entry.computed_rank, entry.match) == ("2a", 24, 24, True)

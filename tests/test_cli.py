@@ -14,7 +14,7 @@ from delsarte import lattice, lefschetz_number, oracles
 
 from delsarte.catalog import DEFAULT_CATALOG
 from delsarte.cli import LAMBDA_SUITE_BUDGET, main, parse_polynomial
-from delsarte.errors import PolynomialSyntaxError
+from delsarte.errors import DelsarteError, PolynomialSyntaxError
 
 
 def test_parse_polynomial_basic():
@@ -209,6 +209,12 @@ def test_census_command(capsys):
     assert payload["corner_histogram"] == {"3": 5, "4": 7, "5": 3, "6": 1}
 
 
+def test_census_scan_disagreement_exit_code(monkeypatch, capsys):
+    monkeypatch.setattr(oracles, "interior_scan", lambda polygon: (1, 0))
+    assert main(["census", "--bound", "4"]) == 4
+    assert "scan (1, 0) != counts" in capsys.readouterr().err
+
+
 def test_verify_lemma_suite(capsys):
     assert main(["verify", "--suite", "lemma"]) == 0
     assert "1/1 checks passed" in capsys.readouterr().out
@@ -276,6 +282,43 @@ def test_catalog_override(tmp_path, capsys):
     broken = tmp_path / "broken.cat"
     broken.write_text("family id=zz\n")
     assert main(["--catalog", str(broken), "table"]) == 2
+
+
+@pytest.mark.parametrize("name", ["missing.cat", ""])
+def test_unreadable_catalog_exit_code(tmp_path, name, capsys):
+    path = tmp_path / name  # a missing file, then a directory
+    assert main(["--catalog", str(path), "table"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error: cannot read {path}: ")
+    assert err.count("\n") == 1
+
+
+#: The exit code each concrete error class documents: 2 invalid input,
+#: 3 precondition violation, 4 internal inconsistency.
+EXIT_CODES = {
+    "CatalogError": 2,
+    "InvalidConfigError": 2,
+    "PolynomialSyntaxError": 2,
+    "DegenerateSupportError": 3,
+    "DivisibilityError": 3,
+    "GroupTooLargeError": 3,
+    "NonEllipticError": 3,
+    "NotOneInteriorError": 3,
+    "SingularMatrixError": 3,
+    "ClassificationError": 4,
+    "GroupOrderError": 4,
+    "RankInconsistencyError": 4,
+}
+
+
+def test_error_classes_carry_their_exit_codes():
+    def subclasses(cls):
+        for sub in cls.__subclasses__():
+            yield sub
+            yield from subclasses(sub)
+
+    concrete = [cls for cls in subclasses(DelsarteError) if not cls.__subclasses__()]
+    assert {cls.__name__: cls.exit_code for cls in concrete} == EXIT_CODES
 
 
 def test_unknown_family_exit_code(capsys):

@@ -7,7 +7,6 @@ from delsarte import (
     classify_one_interior,
     convex_hull,
     enumerate_one_interior_classes,
-    genus_of_support,
     integral_equivalence,
     lattice_counts,
     to_default_position,
@@ -79,7 +78,7 @@ def test_classify_examples(monkeypatch):
         raise AssertionError(f"classification ran the census in [0, {bound}]^2")
 
     monkeypatch.setattr(polygon, "_census_search", no_census)
-    monkeypatch.setattr(polygon, "_census_representatives", no_census)
+    monkeypatch.setattr(polygon, "_census_classes", no_census)
     assert classify_one_interior(W1).label == "w1"
     assert classify_one_interior(((0, 0), (2, 0), (2, 2), (0, 2))).label == "w12"
     assert classify_one_interior(((0, 0), (3, 0), (2, 1), (0, 2))).label == "w8"
@@ -159,9 +158,11 @@ def test_transform_support_shear():
 
 
 def test_genus_of_support():
-    assert genus_of_support([(0, 0), (3, 0), (0, 2)], True) == (1, True)
-    assert genus_of_support([(0, 0), (1, 0), (0, 1)], False) == (0, False)
-    assert genus_of_support([(0, 0), (4, 0), (0, 4), (2, 2)], True) == (3, True)
+    # The genus bound of a support is the interior count of its hull,
+    # read off as `genus` does; an inner point of the support drops out.
+    assert lattice_counts(convex_hull([(0, 0), (3, 0), (0, 2)]))[0] == 1
+    assert lattice_counts(convex_hull([(0, 0), (1, 0), (0, 1)]))[0] == 0
+    assert lattice_counts(convex_hull([(0, 0), (4, 0), (0, 4), (2, 2)]))[0] == 3
 
 
 def test_map_compose_and_inverse():
