@@ -14,10 +14,10 @@ from __future__ import annotations
 
 import gc
 import re
-from dataclasses import asdict, dataclass
 from fractions import Fraction
 from math import lcm
 from pathlib import Path
+from typing import NamedTuple
 
 from .errors import CatalogError, DivisibilityError, NonEllipticError
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
@@ -28,23 +28,32 @@ from .weierstrass import SparsePoly, WeierstrassData
 DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
 
 
-@dataclass(frozen=True)
 class Affine:
     """Affine function const + slope*n of the family parameter.
 
-    The integer numerators of const and slope over their least common
-    denominator are computed once on construction and stored outside the
-    dataclass fields, so eval_int builds no Fraction.
+    const and slope are ints, or Fractions where not integral. The integer
+    numerators of const and slope over their least common denominator are
+    computed once on construction, so eval_int builds no Fraction.
+    Equality, hashing and repr use (const, slope) only.
     """
 
-    const: Fraction = Fraction(0)
-    slope: Fraction = Fraction(0)
+    __slots__ = ("const", "slope", "_den", "_const_num", "_slope_num")
 
-    def __post_init__(self):
-        den = lcm(self.const.denominator, self.slope.denominator)
-        object.__setattr__(self, "_den", den)
-        object.__setattr__(self, "_const_num", self.const.numerator * (den // self.const.denominator))
-        object.__setattr__(self, "_slope_num", self.slope.numerator * (den // self.slope.denominator))
+    def __init__(self, const=0, slope=0):
+        self.const = const
+        self.slope = slope
+        self._den = den = lcm(const.denominator, slope.denominator)
+        self._const_num = const.numerator * (den // const.denominator)
+        self._slope_num = slope.numerator * (den // slope.denominator)
+
+    def __eq__(self, other):
+        return type(other) is Affine and self.const == other.const and self.slope == other.slope
+
+    def __hash__(self):
+        return hash((self.const, self.slope))
+
+    def __repr__(self):
+        return f"Affine(const={self.const!r}, slope={self.slope!r})"
 
     def value(self, n) -> Fraction:
         return self.const + self.slope * n
@@ -73,23 +82,23 @@ _AFFINE_PIECE = re.compile(r"^([+-]?)(?:(\d+)?n(?:/(\d+))?|(\d+))$")
 
 
 def parse_affine(text: str) -> Affine:
-    """Parse forms like '0', '12', 'n', '3n', '2n-72', 'n/3'."""
+    """Parse forms like '0', '12', 'n', '3n', '2n-72', 'n/3'; only a denominator makes a Fraction."""
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty affine expression")
-    pieces = re.findall(r"[+-]?[^+-]+", text)
-    const = slope = Fraction(0)
-    for piece in pieces:
+    const = slope = 0
+    for piece in re.findall(r"[+-]?[^+-]+", text):
         match = _AFFINE_PIECE.match(piece)
         if match is None:
             raise ValueError(f"bad affine expression {_quote(text)}")
-        sign = -1 if match.group(1) == "-" else 1
-        if match.group(4) is not None:
-            const += sign * Fraction(match.group(4))
+        sign, coeff, den, number = match.groups()
+        value = int(sign + (number or coeff or "1"))
+        if number is not None:
+            const += value
+        elif den is None:
+            slope += value
         else:
-            num = Fraction(match.group(2) or 1)
-            den = Fraction(match.group(3) or 1)
-            slope += sign * num / den
+            slope += Fraction(value) / int(den)
     return Affine(const, slope)
 
 
@@ -233,7 +242,7 @@ class PolyExpr:
         if tok == "t":
             self._take()
             exponent = self._exponent()
-            return {(_exact(exponent.const), _exact(exponent.slope)): 1}
+            return {(exponent.const, _exact(exponent.slope)): 1}
         if tok is not None and tok.isdigit():
             self._take()
             value = int(tok)
@@ -248,7 +257,7 @@ class PolyExpr:
     def _exponent(self):
         # t without ^ means exponent 1
         if not self._try("^"):
-            return Affine(Fraction(1))
+            return Affine(1)
         if self._try("("):
             parts = []
             while self._peek() != ")":
@@ -259,11 +268,11 @@ class PolyExpr:
             return parse_affine("".join(parts))
         tok = self._take()
         if tok == "n":
-            return Affine(slope=Fraction(1))
+            return Affine(slope=1)
         if tok.isdigit():
             if self._try("n"):
-                return Affine(slope=Fraction(int(tok)))
-            return Affine(Fraction(int(tok)))
+                return Affine(slope=int(tok))
+            return Affine(int(tok))
         raise ValueError(f"bad exponent in {_quote(self.text)}")
 
     def _try(self, token):
@@ -288,8 +297,7 @@ class PolyExpr:
 
 # --- catalog records ---------------------------------------------------------
 
-@dataclass(frozen=True)
-class FamilyRow:
+class FamilyRow(NamedTuple):
     """One table row: a four-term family with its rank data and mapping."""
 
     id: str
@@ -302,8 +310,7 @@ class FamilyRow:
     neff: int | None = None
 
 
-@dataclass(frozen=True)
-class Representative:
+class Representative(NamedTuple):
     """A family with full invariant data, valid when divisibility | n."""
 
     id: str
@@ -317,8 +324,7 @@ class Representative:
     j_den: PolyExpr
 
 
-@dataclass(frozen=True)
-class RankReport:
+class RankReport(NamedTuple):
     """Full pipeline output for one representative at one parameter."""
 
     family: str
@@ -332,21 +338,13 @@ class RankReport:
     checks: tuple
 
     def to_dict(self):
-        return {
-            "family": self.family,
-            "n": self.n,
-            "group_order": self.group_order,
-            "lambda": self.lefschetz,
-            "euler": self.euler,
-            "h2": self.h2,
-            "rho_triv": self.rho_triv,
-            "rank": self.rank,
-            "checks": [{"name": name, "passed": ok} for name, ok in self.checks],
-        }
+        out = self._asdict()
+        out["lambda"] = out.pop("lefschetz")
+        out["checks"] = [{"name": name, "passed": ok} for name, ok in self.checks]
+        return out
 
 
-@dataclass(frozen=True)
-class TableEntry:
+class TableEntry(NamedTuple):
     """One row of the reproduced table."""
 
     id: str
@@ -360,7 +358,7 @@ class TableEntry:
     match: bool
 
     def to_dict(self):
-        return asdict(self)
+        return self._asdict()
 
 
 _FIBER_ENTRY = re.compile(r"^(I\*?|II\*?|III\*?|IV\*?)(?:\(([^)]*)\))?:(.+)$")
@@ -400,6 +398,8 @@ def _parse_terms(text: str):
     return tuple(terms)
 
 
+#: The code points that errors="surrogateescape" decodes the bytes that are not UTF-8 to.
+_NOT_UTF8 = re.compile("[\udc80-\udcff]")
 _ROW_FIELDS = {"id", "terms", "polygon", "table_n", "rank", "rep", "nmap", "neff"}
 _REP_FIELDS = {"id", "div", "lambda", "fibers", "a", "b", "delta", "jnum", "jden"}
 
@@ -497,6 +497,8 @@ class Catalog:
     def representative_rank(self, rep_id: str, n: int) -> RankReport:
         """Full pipeline for a representative; requires divisibility | n."""
         rep = self.representative(rep_id)
+        if n != int(n):
+            raise ValueError(f"n = {n} is not an integer")
         n = int(n)
         if n < 1 or n % rep.divisibility:
             raise DivisibilityError(
@@ -631,9 +633,13 @@ def load_catalog(path=None) -> Catalog:
     # Split at newlines only: str.splitlines also breaks at form feeds, U+2028
     # and other separators, which would shift every later line number.
     try:
-        text = path.read_text()
+        text = path.read_text(encoding="utf-8", errors="surrogateescape")
     except OSError as exc:
         raise CatalogError(f"cannot read {path}: {exc.strerror}") from None
+    bad = _NOT_UTF8.search(text)
+    if bad:
+        line_no = text.count("\n", 0, bad.start()) + 1
+        raise CatalogError(f"{path} is not UTF-8: byte 0x{ord(bad.group()) - 0xDC00:02x}", line_no)
     for line_no, raw in enumerate(text.split("\n"), start=1):
         line = raw.split("#", 1)[0].strip()
         if not line:

@@ -5,7 +5,8 @@ Exit codes: 0 success/match, 4 table or check mismatch; an error ends
 with the exit_code its class in errors.py carries (2 invalid input,
 3 precondition violation, 4 internal inconsistency), and a KeyError or
 ValueError with 2. Machine output via --json is byte-stable for fixed
-inputs.
+inputs. Only census and verify import the brute-force oracles, so the
+other commands do not pay for them at start-up.
 """
 
 from __future__ import annotations
@@ -15,7 +16,6 @@ import json
 import sys
 from itertools import chain
 
-from . import oracles
 from .catalog import load_catalog
 from .errors import DelsarteError, GroupTooLargeError, PolynomialSyntaxError, SingularMatrixError
 from .lattice import group_order, homogenize, lefschetz_number
@@ -275,6 +275,7 @@ def _cmd_equiv(args, catalog):
 
 
 def _cmd_census(args, catalog):
+    from . import oracles
     classes, histogram = oracles.class_census(args.bound)
     payload = {
         "bound": args.bound,
@@ -310,6 +311,7 @@ def _verify_lambda(cat, nmax):
     raised as soon as the sum passes LAMBDA_SUITE_BUDGET, so no brute force
     runs on a workload above it and a huge --nmax stops after a few cases.
     """
+    from . import oracles
     cases = []
     total = 0
     for rep_id, rep in cat.representatives.items():
@@ -335,6 +337,7 @@ def _verify_lambda(cat, nmax):
 
 
 def _verify_polygon(cat, bound):
+    from . import oracles
     results = []
     classes, histogram = oracles.class_census(bound)
     results.append(
@@ -355,6 +358,7 @@ def _verify_polygon(cat, bound):
 
 
 def _verify_lemma():
+    from . import oracles
     hits = oracles.prime_gap_scan(200)
     return [("prime gaps up to 200", hits == [6, 12, 30], f"got {hits}")]
 

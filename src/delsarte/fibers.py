@@ -14,32 +14,31 @@ h2 - lambda - rho_triv.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from typing import NamedTuple
 
 from .errors import InvalidConfigError, RankInconsistencyError
 
 _PLAIN = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "IV*": (8, 7), "III*": (9, 8), "II*": (10, 9)}
 
 
-@dataclass(frozen=True)
-class Kodaira:
+class Kodaira(NamedTuple("Kodaira", [("family", str), ("k", int)])):
     """A Kodaira type: I_k (k >= 1), I*_k (k >= 0) or one of the six constants."""
 
-    family: str
-    k: int = 0
+    __slots__ = ()
 
-    def __post_init__(self):
-        if self.family == "I":
-            if self.k < 1:
+    def __new__(cls, family, k=0):
+        if family == "I":
+            if k < 1:
                 raise ValueError("I_k needs k >= 1")
-        elif self.family == "I*":
-            if self.k < 0:
+        elif family == "I*":
+            if k < 0:
                 raise ValueError("I*_k needs k >= 0")
-        elif self.family in _PLAIN:
-            if self.k:
-                raise ValueError(f"type {self.family} takes no index")
+        elif family in _PLAIN:
+            if k:
+                raise ValueError(f"type {family} takes no index")
         else:
-            raise ValueError(f"unknown Kodaira type {self.family!r}")
+            raise ValueError(f"unknown Kodaira type {family!r}")
+        return super().__new__(cls, family, k)
 
     @property
     def euler(self) -> int:

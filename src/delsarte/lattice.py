@@ -23,7 +23,6 @@ orbits and the orbits of L are the products of the orbits of the L_p.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
@@ -71,27 +70,24 @@ def mat4_adjugate(rows):
     )
 
 
-@dataclass(frozen=True)
 class ExponentMatrix:
     """4x4 matrix of homogenized exponents, columns ordered (X, Y, Z, T).
 
     ``adjugate`` is computed once on construction and ``determinant`` is
-    read off it (row 0 of A times column 0 of adj A). Both are stored
-    outside the dataclass fields, so equality and hashing use
-    (rows, degree) only.
+    read off it (row 0 of A times column 0 of adj A). Equality, hashing
+    and repr use (rows, degree) only, so equal matrices share a
+    lefschetz_number cache entry.
     """
 
-    rows: tuple[tuple[int, int, int, int], ...]
-    degree: int
+    __slots__ = ("rows", "degree", "adjugate", "determinant")
 
-    def __post_init__(self):
-        rows = tuple(tuple(int(e) for e in row) for row in self.rows)
-        object.__setattr__(self, "rows", rows)
+    def __init__(self, rows, degree):
+        rows = tuple(tuple(int(e) for e in row) for row in rows)
         if len(rows) != 4 or any(len(r) != 4 for r in rows):
             raise ValueError("expected a 4x4 matrix")
         if any(e < 0 for row in rows for e in row):
             raise ValueError("exponents must be nonnegative")
-        if any(sum(row) != self.degree for row in rows):
+        if any(sum(row) != degree for row in rows):
             raise ValueError("every row must sum to the degree")
         adjugate = mat4_adjugate(rows)
         determinant = sum(a * row[0] for a, row in zip(rows[0], adjugate))
@@ -99,8 +95,19 @@ class ExponentMatrix:
             raise SingularMatrixError(
                 "exponent matrix is singular; the character-group method does not apply"
             )
-        object.__setattr__(self, "adjugate", adjugate)
-        object.__setattr__(self, "determinant", determinant)
+        self.rows = rows
+        self.degree = degree
+        self.adjugate = adjugate
+        self.determinant = determinant
+
+    def __eq__(self, other):
+        return type(other) is ExponentMatrix and self.rows == other.rows and self.degree == other.degree
+
+    def __hash__(self):
+        return hash((self.rows, self.degree))
+
+    def __repr__(self):
+        return f"ExponentMatrix(rows={self.rows!r}, degree={self.degree!r})"
 
 
 def homogenize(terms) -> ExponentMatrix:

@@ -8,10 +8,10 @@ Maps act on points as row vectors: image = p @ M + shift.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from fractions import Fraction
 from functools import lru_cache
 from math import gcd
+from typing import NamedTuple
 
 from .errors import (
     ClassificationError,
@@ -85,17 +85,16 @@ def to_default_position(polygon: Polygon) -> Polygon:
     return tuple((x - minx, y - miny) for x, y in polygon)
 
 
-@dataclass(frozen=True)
-class UnimodularAffineMap:
+class UnimodularAffineMap(NamedTuple("UnimodularAffineMap", [("matrix", tuple), ("shift", Point)])):
     """A GL2(Z) matrix plus translation, acting on row vectors."""
 
-    matrix: tuple[tuple[int, int], tuple[int, int]]
-    shift: Point = (0, 0)
+    __slots__ = ()
 
-    def __post_init__(self):
-        (a, b), (c, d) = self.matrix
+    def __new__(cls, matrix, shift=(0, 0)):
+        (a, b), (c, d) = matrix
         if abs(a * d - b * c) != 1:
             raise ValueError("matrix determinant must be +1 or -1")
+        return super().__new__(cls, matrix, shift)
 
     def apply(self, point: Point) -> Point:
         (a, b), (c, d) = self.matrix
@@ -166,8 +165,7 @@ def integral_equivalence(p: Polygon, q: Polygon):
     return None
 
 
-@dataclass(frozen=True)
-class PolygonClass:
+class PolygonClass(NamedTuple):
     """One of the 16 classes of one-interior-point polygons."""
 
     label: str

@@ -7,7 +7,14 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from delsarte import SparsePoly, discriminant, j_invariant, load_catalog
+from delsarte import (
+    Kodaira,
+    SparsePoly,
+    UnimodularAffineMap,
+    discriminant,
+    j_invariant,
+    load_catalog,
+)
 from delsarte.catalog import DEFAULT_CATALOG, MAX_TERMS, Affine, PolyExpr, parse_affine
 from delsarte.errors import CatalogError, DivisibilityError, NonEllipticError
 
@@ -29,6 +36,9 @@ def test_group_sizes(catalog):
 
 def test_affine_parsing():
     assert parse_affine("2n-72") == Affine(Fraction(-72), Fraction(2))
+    # Integral parts parse to ints, which equal and hash like the Fractions.
+    assert hash(parse_affine("2n-72")) == hash(Affine(Fraction(-72), Fraction(2)))
+    assert parse_affine("2n-72") != Affine(-72, 3)
     assert parse_affine("n") == Affine(Fraction(0), Fraction(1))
     assert parse_affine("-72+2n") == Affine(Fraction(-72), Fraction(2))
     assert parse_affine("n/3") == Affine(Fraction(0), Fraction(1, 3))
@@ -38,6 +48,29 @@ def test_affine_parsing():
         parse_affine("n/3").eval_int(7)
     with pytest.raises(ValueError):
         parse_affine("n^2")
+
+
+def test_records_are_immutable(catalog):
+    records = [
+        (Kodaira("I", 3), "k"),
+        (catalog.row("1a"), "nmap"),
+        (catalog.representative_rank("1a", 360), "rank"),
+        (UnimodularAffineMap(((1, 1), (0, 1))), "shift"),
+    ]
+    for record, field in records:
+        with pytest.raises(AttributeError):
+            setattr(record, field, 0)
+
+
+def test_to_dict_keys(catalog):
+    report = catalog.representative_rank("1a", 360)
+    assert set(report.to_dict()) == {
+        "family", "n", "group_order", "lambda", "euler", "h2", "rho_triv", "rank", "checks",
+    }
+    assert set(catalog.reproduce_table()[0].to_dict()) == {
+        "id", "polygon", "table_n", "rep", "rep_n", "own_lambda", "computed_rank",
+        "expected_rank", "match",
+    }
 
 
 def test_poly_expr():
@@ -97,6 +130,12 @@ def test_representative_rank_divisibility(catalog):
         catalog.representative_rank("1a", 7)
     with pytest.raises(DivisibilityError):
         catalog.representative_rank("1d", 0)
+
+
+def test_representative_rank_rejects_non_integral_n(catalog):
+    with pytest.raises(ValueError, match="360.5 is not an integer"):
+        catalog.representative_rank("1a", 360.5)
+    assert catalog.representative_rank("1a", 360.0) == catalog.representative_rank("1a", 360)
 
 
 def test_row_4f_maps_through_doubling(catalog):

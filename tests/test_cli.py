@@ -293,6 +293,15 @@ def test_unreadable_catalog_exit_code(tmp_path, name, capsys):
     assert err.count("\n") == 1
 
 
+def test_catalog_that_is_not_utf8_names_its_path_and_line(tmp_path, capsys):
+    lines = DEFAULT_CATALOG.read_bytes().split(b"\n")
+    lines[9] += b" \xff"
+    path = tmp_path / "families.cat"
+    path.write_bytes(b"\n".join(lines))
+    assert main(["--catalog", str(path), "table"]) == 2
+    assert capsys.readouterr().err == f"error: line 10: {path} is not UTF-8: byte 0xff\n"
+
+
 #: The exit code each concrete error class documents: 2 invalid input,
 #: 3 precondition violation, 4 internal inconsistency.
 EXIT_CODES = {
@@ -401,13 +410,39 @@ print(codes, cold, "numpy" in sys.modules)
 """
 
 
-def test_no_command_loads_numpy():
+def _run_fresh(script):
+    """The stdout words of `script` run in a fresh interpreter with the package's src on PYTHONPATH."""
     src = os.path.dirname(os.path.dirname(delsarte.__file__))
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
     result = subprocess.run(
-        [sys.executable, "-c", _NO_NUMPY_SCRIPT],
+        [sys.executable, "-c", script],
         env=env, capture_output=True, text=True, timeout=120,
     )
     assert result.returncode == 0, result.stderr
-    assert result.stdout.split() == ["[0,", "0,", "0,", "0,", "0]", "False", "False"]
+    return result.stdout.split()
+
+
+def test_no_command_loads_numpy():
+    assert _run_fresh(_NO_NUMPY_SCRIPT) == ["[0,", "0,", "0,", "0,", "0]", "False", "False"]
+
+
+_COLD_IMPORT_SCRIPT = """
+import contextlib, io, sys
+before = set(sys.modules)
+from delsarte import load_catalog
+from delsarte.cli import main
+
+load_catalog()
+with contextlib.redirect_stdout(io.StringIO()):
+    codes = [main(["rank", "--rep", "1a", "--n", "360"]), main(["classify", "--poly", "1 + t^4 X^2 Y + X^3 + Y^2"])]
+    loaded = sorted(set(sys.modules) - before)
+    codes += [main(["census"]), main(["verify", "--suite", "lemma"])]
+print(codes, "dataclasses" in loaded, "delsarte.oracles" in loaded, "delsarte.oracles" in sys.modules)
+"""
+
+
+def test_cold_start_imports_neither_dataclasses_nor_oracles():
+    # Start-up cost: the records are NamedTuples and slotted classes, and only
+    # census and verify import the brute-force oracles.
+    assert _run_fresh(_COLD_IMPORT_SCRIPT) == ["[0,", "0,", "0,", "0]", "False", "False", "True"]

@@ -19,14 +19,16 @@ def test_kodaira_tables():
 
 
 def test_kodaira_validation():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^I_k needs k >= 1$"):
         Kodaira("I", 0)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^I\*_k needs k >= 0$"):
         Kodaira("I*", -1)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^type II takes no index$"):
         Kodaira("II", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"^unknown Kodaira type 'V'$"):
         Kodaira("V")
+    assert Kodaira("II") == Kodaira(family="II", k=0)
+    assert repr(Kodaira("I", 3)) == "Kodaira(family='I', k=3)"
 
 
 def test_euler_and_betti():

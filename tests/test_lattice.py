@@ -60,6 +60,30 @@ def test_determinant_worked_example():
         assert matrix.determinant == leibniz_det(matrix.rows), matrix.rows
 
 
+def test_exponent_matrix_equality_ignores_derived_values():
+    first = ExponentMatrix(((0, 0, 11, 0), (2, 0, 0, 9), (2, 0, 9, 0), (0, 3, 8, 0)), 11)
+    second = ExponentMatrix(first.rows, 11)
+    assert first == second and hash(first) == hash(second) and first is not second
+    assert first != ExponentMatrix(IDENTITY, 1)
+    assert repr(first) == f"ExponentMatrix(rows={first.rows!r}, degree=11)"
+    # Equal matrices share one lefschetz_number cache entry.
+    before = lefschetz_number.cache_info()
+    assert lefschetz_number(first) == lefschetz_number(second)
+    after = lefschetz_number.cache_info()
+    assert after.hits > before.hits and after.misses <= before.misses + 1
+
+
+def test_exponent_matrix_constructor_errors():
+    with pytest.raises(ValueError, match=r"^expected a 4x4 matrix$"):
+        ExponentMatrix(IDENTITY[:3], 1)
+    with pytest.raises(ValueError, match=r"^exponents must be nonnegative$"):
+        ExponentMatrix(((2, -1, 0, 0),) + IDENTITY[1:], 1)
+    with pytest.raises(ValueError, match=r"^every row must sum to the degree$"):
+        ExponentMatrix(IDENTITY, 2)
+    with pytest.raises(SingularMatrixError, match=r"^exponent matrix is singular"):
+        ExponentMatrix((IDENTITY[0],) * 4, 1)
+
+
 def test_mat4_adjugate_worked_example():
     adj = mat4_adjugate(A60)
     inverse = mat4_inverse(A60)

@@ -172,3 +172,11 @@ def test_map_compose_and_inverse():
     for point in ((0, 0), (1, 0), (2, 3), (-4, 7)):
         assert composed.apply(point) == second.apply(first.apply(point))
         assert first.inverse().apply(first.apply(point)) == point
+
+
+def test_map_rejects_non_unimodular_matrix():
+    with pytest.raises(ValueError, match=r"^matrix determinant must be \+1 or -1$"):
+        UnimodularAffineMap(((2, 0), (0, 1)))
+    with pytest.raises(ValueError, match=r"^matrix determinant must be \+1 or -1$"):
+        UnimodularAffineMap(((1, 1), (1, 1)))
+    assert UnimodularAffineMap(((1, 0), (0, 1))).shift == (0, 0)
