@@ -23,7 +23,7 @@ from .errors import CatalogError, DivisibilityError, NonEllipticError
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
-from .weierstrass import SparsePoly, WeierstrassData
+from .weierstrass import SparsePoly, WeierstrassData, _wrap, j_invariant
 
 DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
 
@@ -78,27 +78,32 @@ class Affine:
         return "".join(parts)
 
 
-_AFFINE_PIECE = re.compile(r"^([+-]?)(?:(\d+)?n(?:/(\d+))?|(\d+))$")
+# A term dn, dn/d or d of an affine expression, d a run of digits, optional before n.
+_AFFINE_TERM = r"(?:(\d*)n(?:/(\d+))?|(\d+))"
+_AFFINE = re.compile(rf"[+-]?{_AFFINE_TERM}(?:[+-]{_AFFINE_TERM})*")
+_AFFINE_PIECE = re.compile(rf"([+-]?){_AFFINE_TERM}")
 
 
 def parse_affine(text: str) -> Affine:
-    """Parse forms like '0', '12', 'n', '3n', '2n-72', 'n/3'; only a denominator makes a Fraction."""
+    """Parse '0', '12', 'n', '3n', '2n-72', '-72+2n', 'n/3': terms joined by single signs.
+
+    Only a written denominator makes a Fraction.
+    """
     text = text.replace(" ", "")
     if not text:
         raise ValueError("empty affine expression")
+    if _AFFINE.fullmatch(text) is None:
+        raise ValueError(f"bad affine expression {_quote(text)}")
     const = slope = 0
-    for piece in re.findall(r"[+-]?[^+-]+", text):
-        match = _AFFINE_PIECE.match(piece)
-        if match is None:
-            raise ValueError(f"bad affine expression {_quote(text)}")
-        sign, coeff, den, number = match.groups()
-        value = int(sign + (number or coeff or "1"))
-        if number is not None:
-            const += value
-        elif den is None:
-            slope += value
+    for sign, coeff, den, number in _AFFINE_PIECE.findall(text):
+        if number:
+            const += int(sign + number)
+        elif not den:
+            slope += int(sign + (coeff or "1"))
+        elif int(den):
+            slope += Fraction(int(sign + (coeff or "1")), int(den))
         else:
-            slope += Fraction(value) / int(den)
+            raise ValueError(f"zero denominator in {_quote(text)}")
     return Affine(const, slope)
 
 
@@ -137,41 +142,11 @@ MAX_POWER = 12
 MAX_TERMS = 32
 
 
-def _exact(value):
-    """An integral Fraction as int, any other value as it is."""
-    return value.numerator if type(value) is Fraction and value.denominator == 1 else value
-
-
-def _trimmed(data) -> dict:
-    """Monomial -> coefficient data without zero coefficients, integral values as int."""
-    return {(c, _exact(s)): _exact(coeff) for (c, s), coeff in data.items() if coeff}
-
-
-def _signed_sum(terms) -> dict:
-    """The sum of sign * poly over (sign, poly) pairs of expansions, sign +1 or -1."""
-    out = {}
-    for sign, poly in terms:
-        for mono, coeff in poly.items():
-            out[mono] = out.get(mono, 0) + (coeff if sign > 0 else -coeff)
-    return _trimmed(out)
-
-
-def _product(left, right) -> dict:
-    """The product of two expansions: t^(c+s*n) * t^(c'+s'*n) = t^(c+c'+(s+s')*n)."""
-    out = {}
-    for (c1, s1), x in left.items():
-        for (c2, s2), y in right.items():
-            mono = (c1 + c2, s1 + s2)
-            out[mono] = out.get(mono, 0) + x * y
-    return _trimmed(out)
-
-
 class PolyExpr:
     """A closed-form polynomial in t with exponents affine in n, expanded once.
 
-    ``terms`` maps each monomial t^(c+s*n), as the pair (c, s), to its
-    nonzero coefficient; c is an int, and s and the coefficient are ints
-    when integral and Fractions otherwise.
+    ``terms`` is the expansion as a SparsePoly, each monomial t^(c+s*n)
+    the pair (c, s); the parser builds it with the ring's own +, - and *.
     """
 
     def __init__(self, text: str):
@@ -203,15 +178,17 @@ class PolyExpr:
 
     def _expr(self):
         # A +/- chain is one flat loop, so parsing it needs no recursion per term.
-        terms = [(-1 if self._try("-") else 1, self._term())]
+        result = -self._term() if self._try("-") else self._term()
         while self._peek() in ("+", "-"):
-            terms.append((1 if self._take() == "+" else -1, self._term()))
-        return self._capped(_signed_sum(terms))
+            sign = self._take()
+            term = self._term()
+            result = self._capped(result + term if sign == "+" else result - term)
+        return result
 
     def _term(self):
         result = self._factor()
         while self._try("*"):
-            result = self._capped(_product(result, self._factor()))
+            result = self._capped(result * self._factor())
         return result
 
     def _factor(self):
@@ -223,9 +200,10 @@ class PolyExpr:
             raise ValueError(f"non-integer power in {_quote(self.text)}")
         if int(power) > MAX_POWER:
             raise ValueError(f"power {_quote(power)} above the cap of {MAX_POWER} in {_quote(self.text)}")
-        result = {(0, 0): 1}
+        # One factor at a time, so the cap bounds every intermediate product.
+        result = _wrap({(0, 0): 1})
         for _ in range(int(power)):
-            result = self._capped(_product(result, base))
+            result = self._capped(result * base)
         return result
 
     def _base(self):
@@ -242,7 +220,7 @@ class PolyExpr:
         if tok == "t":
             self._take()
             exponent = self._exponent()
-            return {(exponent.const, _exact(exponent.slope)): 1}
+            return _wrap({(exponent.const, exponent.slope): 1})
         if tok is not None and tok.isdigit():
             self._take()
             value = int(tok)
@@ -250,8 +228,10 @@ class PolyExpr:
                 den = self._take()
                 if not den.isdigit():
                     raise ValueError(f"bad rational in {_quote(self.text)}")
-                value = _exact(Fraction(value, int(den)))
-            return {(0, 0): value} if value else {}
+                if not int(den):
+                    raise ValueError(f"zero denominator in {_quote(self.text)}")
+                value = Fraction(value, int(den))
+            return _wrap({(0, 0): value})
         raise ValueError(f"unexpected token {tok!r} in {_quote(self.text)}")
 
     def _exponent(self):
@@ -266,14 +246,13 @@ class PolyExpr:
                 parts.append(self._take())
             self._take(")")
             return parse_affine("".join(parts))
-        tok = self._take()
-        if tok == "n":
-            return Affine(slope=1)
-        if tok.isdigit():
-            if self._try("n"):
-                return Affine(slope=int(tok))
-            return Affine(int(tok))
-        raise ValueError(f"bad exponent in {_quote(self.text)}")
+        # the bare forms t^n, t^3n and t^12
+        text = self._take()
+        if text.isdigit() and self._try("n"):
+            text += "n"
+        elif text != "n" and not text.isdigit():
+            raise ValueError(f"bad exponent in {_quote(self.text)}")
+        return parse_affine(text)
 
     def _try(self, token):
         if self._peek() == token:
@@ -283,13 +262,10 @@ class PolyExpr:
 
     def evaluate(self, n: int) -> SparsePoly:
         """The polynomial at parameter n, each monomial (c, s) becoming t^(c+s*n)."""
-        pairs = []
-        for (c, s), coeff in self.terms.items():
-            exponent, rest = divmod(c + s * n, 1)
-            if rest:
-                raise ValueError(f"exponent {Affine(c, s)} of {_quote(self.text)} is not integral at n={n}")
-            pairs.append((exponent, coeff))
-        return SparsePoly(pairs)
+        try:
+            return self.terms.evaluate(n)
+        except ValueError as exc:
+            raise ValueError(f"{exc} in {_quote(self.text)}") from None
 
     def __repr__(self):
         return f"PolyExpr({self.text!r})"
@@ -480,17 +456,13 @@ class Catalog:
         Memoized per representative.
         """
         if rep.id not in self._identity_cache:
-            def times(k, poly):
-                return _product({(0, 0): k}, poly)
-
-            a, b = rep.a.terms, rep.b.terms
-            cubed = _product(_product(a, a), a)
-            # 4a^3 + 27b^2 is -delta/16 and the denominator of j = 6912a^3 / (4a^3 + 27b^2).
-            core = _signed_sum(((1, times(4, cubed)), (1, times(27, _product(b, b)))))
-            if not core:
-                raise NonEllipticError(f"representative {rep.id}: the discriminant vanishes")
-            self._identity_cache[rep.id] = rep.delta.terms == times(-16, core) and (
-                _product(rep.j_num.terms, core) == times(6912, _product(cubed, rep.j_den.terms))
+            try:
+                # j_den is 4a^3 + 27b^2, which is -delta/16.
+                j_num, j_den = j_invariant(WeierstrassData(rep.a.terms, rep.b.terms))
+            except NonEllipticError:
+                raise NonEllipticError(f"representative {rep.id}: the discriminant vanishes") from None
+            self._identity_cache[rep.id] = rep.delta.terms == -16 * j_den and (
+                rep.j_num.terms * j_den == j_num * rep.j_den.terms
             )
         return self._identity_cache[rep.id]
 
@@ -563,7 +535,7 @@ def _check_poly(key, expr, divisibility):
     t^c u^(s*div) and its exponent stays a nonnegative integer at every
     valid n.
     """
-    for c, s in expr.terms:
+    for (c, s), _ in expr.terms.items():
         if s < 0 or (s * divisibility) % 1 or c + s * divisibility < 0:
             raise ValueError(
                 f"{key}=: exponent {Affine(c, s)} = c + s*n needs s >= 0, s*div integral "

@@ -1,14 +1,15 @@
-"""Sparse exact polynomials in t and short-Weierstrass invariants.
+"""One exact polynomial ring in t and t^n, and short-Weierstrass invariants.
 
-Coefficients are exact rationals: an int when the value is integral and
-a Fraction only when it is not (in a and b of 1c, 2b, 3d and 12). The ring
-operations build their coefficient dict directly and never route it back
-through the validating constructor, so integral arithmetic stays in int.
+A monomial is the pair (c, s), standing for t^(c+s*n). A catalog
+polynomial is written once for every n; ``evaluate(n)`` maps it to the
+polynomial in t alone at that n, where every s is 0. Coefficients and
+slopes are exact: an int when integral, a Fraction only when not. The
+ring operations build their dict directly and never route it back through
+the validating constructor, so integral arithmetic stays in int.
 
-Curves are y^2 = x^3 + a(t) x + b(t); the discriminant is
--16(4a^3 + 27b^2) and j is kept as the unreduced pair
-(1728 * 4a^3, 4a^3 + 27b^2), so comparisons against closed forms
-cross-multiply instead of needing polynomial gcds.
+Curves are y^2 = x^3 + a x + b; the discriminant is -16(4a^3 + 27b^2)
+and j is kept as the unreduced pair (1728 * 4a^3, 4a^3 + 27b^2), so
+comparisons cross-multiply instead of needing polynomial gcds.
 """
 
 from __future__ import annotations
@@ -20,10 +21,11 @@ from .errors import NonEllipticError
 
 
 def _trimmed(data) -> dict:
-    """Exponent -> coefficient data without its zero coefficients, integral Fractions as int."""
+    """Monomial -> coefficient data without zero coefficients; integral Fractions, slopes too, as int."""
     return {
-        exp: coeff.numerator if type(coeff) is Fraction and coeff.denominator == 1 else coeff
-        for exp, coeff in data.items()
+        (c, s.numerator if type(s) is Fraction and s.denominator == 1 else s):
+            coeff.numerator if type(coeff) is Fraction and coeff.denominator == 1 else coeff
+        for (c, s), coeff in data.items()
         if coeff
     }
 
@@ -36,10 +38,11 @@ def _wrap(data) -> "SparsePoly":
 
 
 class SparsePoly:
-    """Univariate polynomial with exact rational coefficients, exponent -> coeff.
+    """Polynomial in t and t^n with exact rational coefficients, (c, s) -> coeff.
 
-    Integral coefficients are stored as int, the others as Fraction; since
-    3 == Fraction(3) and hash(3) == hash(Fraction(3)), equality, hashing,
+    The constructor takes a constant, or exponent -> coefficient data whose
+    exponents are pairs (c, s) or ints e, meaning (e, 0). Since 3 ==
+    Fraction(3) and hash(3) == hash(Fraction(3)), equality, hashing,
     items() and repr do not depend on the storage type.
     """
 
@@ -54,11 +57,12 @@ class SparsePoly:
         data = {}
         items = coeffs.items() if isinstance(coeffs, dict) else coeffs
         for exp, coeff in items:
-            exp = int(exp)
-            if exp < 0:
+            c, s = exp if isinstance(exp, tuple) else (exp, 0)
+            c = int(c)
+            if c < 0 and not s:
                 raise ValueError("negative exponents are not supported")
-            coeff = Fraction(coeff)
-            data[exp] = data[exp] + coeff if exp in data else coeff
+            mono, coeff = (c, Fraction(s)), Fraction(coeff)
+            data[mono] = data[mono] + coeff if mono in data else coeff
         self._coeffs = _trimmed(data)
 
     @classmethod
@@ -69,20 +73,36 @@ class SparsePoly:
     def is_zero(self) -> bool:
         return not self._coeffs
 
+    def __len__(self):
+        return len(self._coeffs)
+
     def items(self):
         return sorted(self._coeffs.items())
+
+    def evaluate(self, n: int) -> "SparsePoly":
+        """The polynomial at parameter n, each monomial (c, s) becoming t^(c+s*n)."""
+        out = {}
+        for (c, s), coeff in self._coeffs.items():
+            exponent, rest = divmod(c + s * n, 1)
+            if rest:
+                raise ValueError(f"exponent {c}+{s}*n is not integral at n={n}")
+            if exponent < 0:
+                raise ValueError("negative exponents are not supported")
+            mono = (exponent, 0)
+            out[mono] = out.get(mono, 0) + coeff
+        return _wrap(out)
 
     def __add__(self, other):
         other = other if isinstance(other, SparsePoly) else SparsePoly(other)
         out = dict(self._coeffs)
-        for exp, coeff in other._coeffs.items():
-            out[exp] = out.get(exp, 0) + coeff
+        for mono, coeff in other._coeffs.items():
+            out[mono] = out.get(mono, 0) + coeff
         return _wrap(out)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return _wrap({e: -c for e, c in self._coeffs.items()})
+        return _wrap({m: -c for m, c in self._coeffs.items()})
 
     def __sub__(self, other):
         other = other if isinstance(other, SparsePoly) else SparsePoly(other)
@@ -93,12 +113,12 @@ class SparsePoly:
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
-            return _wrap({e: c * other for e, c in self._coeffs.items()})
+            return _wrap({m: c * other for m, c in self._coeffs.items()})
         out = {}
-        for e1, c1 in self._coeffs.items():
-            for e2, c2 in other._coeffs.items():
-                exp = e1 + e2
-                out[exp] = out.get(exp, 0) + c1 * c2
+        for (c1, s1), x in self._coeffs.items():
+            for (c2, s2), y in other._coeffs.items():
+                mono = (c1 + c2, s1 + s2)
+                out[mono] = out.get(mono, 0) + x * y
         return _wrap(out)
 
     __rmul__ = __mul__
@@ -106,7 +126,7 @@ class SparsePoly:
     def __pow__(self, power):
         if power < 0:
             raise ValueError("negative powers are not supported")
-        result = _wrap({0: 1})
+        result = _wrap({(0, 0): 1})
         base = self
         while True:
             if power & 1:
@@ -127,18 +147,20 @@ class SparsePoly:
         if self.is_zero:
             return "SparsePoly(0)"
         parts = []
-        for exp, coeff in self.items():
-            if exp == 0:
+        for (c, s), coeff in self.items():
+            if s:
+                parts.append(f"{coeff}*t^({c}+{s}*n)")
+            elif c == 0:
                 parts.append(str(coeff))
-            elif exp == 1:
+            elif c == 1:
                 parts.append(f"{coeff}*t")
             else:
-                parts.append(f"{coeff}*t^{exp}")
+                parts.append(f"{coeff}*t^{c}")
         return f"SparsePoly({' + '.join(parts)})"
 
 
 class WeierstrassData(NamedTuple):
-    """Coefficients of y^2 = x^3 + a x + b over k[t]."""
+    """Coefficients of y^2 = x^3 + a x + b over k[t] (or k[t, t^n])."""
 
     a: SparsePoly
     b: SparsePoly

@@ -46,8 +46,12 @@ def test_affine_parsing():
     assert parse_affine("n/3").eval_int(6) == 2
     with pytest.raises(ValueError):
         parse_affine("n/3").eval_int(7)
-    with pytest.raises(ValueError):
-        parse_affine("n^2")
+    assert parse_affine("-2n/3+1") == Affine(1, Fraction(-2, 3))
+    for text in ("n^2", "2n-72-", "+", "2n--72", "--n", "3n+-2", "n/", "1/3"):
+        with pytest.raises(ValueError, match="bad affine expression"):
+            parse_affine(text)
+    with pytest.raises(ValueError, match="zero denominator in '6n/0'"):
+        parse_affine("6n/0")
 
 
 def test_records_are_immutable(catalog):
@@ -76,14 +80,17 @@ def test_to_dict_keys(catalog):
 def test_poly_expr():
     expr = PolyExpr("-432*(1+t^n)^2")
     poly = expr.evaluate(2)
-    assert poly.items() == [(0, -432), (2, -864), (4, -432)]
-    assert PolyExpr("-3*t^(n/3)").evaluate(6).items() == [(2, -3)]
+    # items() keys are monomials (c, s); at a fixed n every s is 0
+    assert poly.items() == [((0, 0), -432), ((2, 0), -864), ((4, 0), -432)]
+    assert PolyExpr("-3*t^(n/3)").evaluate(6).items() == [((2, 0), -3)]
     assert PolyExpr("2/27-1/3*t^n").evaluate(1).items() == [
-        (0, Fraction(2, 27)),
-        (1, Fraction(-1, 3)),
+        ((0, 0), Fraction(2, 27)),
+        ((1, 0), Fraction(-1, 3)),
     ]
     with pytest.raises(ValueError):
         PolyExpr("t^^2")
+    with pytest.raises(ValueError, match=r"not integral at n=7 in 't\^\(n/3\)'"):
+        PolyExpr("t^(n/3)").evaluate(7)
 
 
 def test_family_terms(catalog):
@@ -315,44 +322,60 @@ def test_wrong_polygon_label_rejected(tmp_path):
 
 
 @pytest.mark.parametrize(
-    "old, new, line",
+    "old, new, line, says",
     [
         # a zero divisibility would reach `n % div` in the row checks
-        ("representative id=1a div=360", "representative id=1a div=0", 86),
-        ("representative id=1a div=360", "representative id=1a div=-360", 86),
+        ("representative id=1a div=360", "representative id=1a div=0", 86, "div=0 is not"),
+        ("representative id=1a div=360", "representative id=1a div=-360", 86, "div=-360 is not"),
         # unbounded nesting would exhaust the recursive-descent parser's stack
-        ("b=1+t^n ", "b=" + "(" * 400 + "1" + ")" * 400 + " ", 86),
+        ("b=1+t^n ", "b=" + "(" * 400 + "1" + ")" * 400 + " ", 86, "nested deeper"),
         # a power's cost grows about fivefold per doubling, so it is capped
-        ("delta=-432*(1+t^n)^2 ", "delta=-432*(1+t^n)^800 ", 86),
-        ("family id=1a terms", "family id= terms", 27),
+        ("delta=-432*(1+t^n)^2 ", "delta=-432*(1+t^n)^800 ", 86, "above the cap"),
+        ("family id=1a terms", "family id= terms", 27, "missing id="),
         # row 11 renamed: representative 11 is left without a row of its id
-        ("family id=11 terms", "family id=13 terms", 95),
+        ("family id=11 terms", "family id=13 terms", 95, "has no family row"),
         # the identity proof needs every exponent c + s*n to have s >= 0,
         # s*div integral and c + s*div >= 0
-        ("b=1+t^n ", "b=1+t^(-n) ", 86),
-        ("b=1+t^n ", "b=1+t^(n/7) ", 86),
-        (" jden=1\nrepresentative id=1b", " jden=t^(n-361)\nrepresentative id=1b", 86),
+        ("b=1+t^n ", "b=1+t^(-n) ", 86, "b=: exponent -n"),
+        ("b=1+t^n ", "b=1+t^(n/7) ", 86, "b=: exponent n/7"),
+        (" jden=1\nrepresentative id=1b", " jden=t^(n-361)\nrepresentative id=1b", 86,
+         "jden=: exponent n-361"),
         # a written-out product or sum is capped by MAX_TERMS monomials, which
         # MAX_POWER does not see; each of these loaded under a cap on the degree
-        ("b=1+t^n ", "b=" + "*".join(["(1+t^n)"] * 800) + " ", 86),
-        ("b=(1+t^n)^3 ", "b=" + "*".join(["(1+t^5)"] * 800) + " ", 90),
-        ("b=1+t^n ", "b=" + "*".join(["(1+t)"] * 1000) + " ", 86),
-        (" a=0 b=1+t^n ", " a=" + "+".join(f"t^{k}" for k in range(1, 1001)) + " b=1+t^n ", 86),
+        ("b=1+t^n ", "b=" + "*".join(["(1+t^n)"] * 800) + " ", 86, "more than 32 monomials"),
+        ("b=(1+t^n)^3 ", "b=" + "*".join(["(1+t^5)"] * 800) + " ", 90, "more than 32 monomials"),
+        ("b=1+t^n ", "b=" + "*".join(["(1+t)"] * 1000) + " ", 86, "more than 32 monomials"),
+        (" a=0 b=1+t^n ", " a=" + "+".join(f"t^{k}" for k in range(1, 1001)) + " b=1+t^n ", 86,
+         "more than 32 monomials"),
+        # an affine field is one sign at most, then terms joined by single
+        # signs; each of these once loaded with a sign dropped or ignored
+        ("lambda=2n-72 ", "lambda=2n-72- ", 86, "bad affine expression '2n-72-'"),
+        ("lambda=2n-72 ", "lambda=+ ", 86, "bad affine expression '+'"),
+        ("lambda=2n-72 ", "lambda=2n--72 ", 86, "bad affine expression '2n--72'"),
+        ("fibers=II:n ", "fibers=II:--n ", 86, "bad affine expression '--n'"),
+        ("lambda=2n-72 ", "lambda=3n+-2 ", 86, "bad affine expression '3n+-2'"),
+        # a zero denominator is named, not reported as a bare Fraction(1, 0)
+        ("lambda=2n-72 ", "lambda=6n/0 ", 86, "zero denominator in '6n/0'"),
+        ("b=1+t^n ", "b=1+t^(n/0) ", 86, "zero denominator in 'n/0'"),
+        ("b=1+t^n ", "b=1/0 ", 86, "zero denominator in '1/0'"),
     ],
     ids=[
         "div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id",
         "orphan-representative", "negative-slope", "slope-off-div", "negative-exponent",
         "product-degree-cap", "constant-product-degree-cap", "product-term-cap",
-        "sum-term-cap",
+        "sum-term-cap", "affine-trailing-sign", "affine-bare-sign", "affine-double-sign",
+        "affine-leading-double-sign", "affine-plus-minus", "affine-zero-denominator",
+        "exponent-zero-denominator", "rational-zero-denominator",
     ],
 )
-def test_bad_record_rejected_at_its_line(tmp_path, old, new, line):
+def test_bad_record_rejected_at_its_line(tmp_path, old, new, line, says):
     path = _mutated_catalog(tmp_path, old, new)
     start = time.perf_counter()
     with pytest.raises(CatalogError) as err:
         load_catalog(path)
     assert time.perf_counter() - start < 1.0
     assert err.value.line == line
+    assert says in str(err.value)
     assert len(str(err.value)) < 200, str(err.value)
 
 

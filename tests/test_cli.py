@@ -377,6 +377,16 @@ def test_j_identity_is_checked_on_the_rank_path(tmp_path, capsys):
     assert "delta-identity FAIL" in capsys.readouterr().out
 
 
+def test_vanishing_discriminant_exits_3(tmp_path, capsys):
+    # 1a has a=0, so b=0 makes 4a^3 + 27b^2 vanish identically
+    text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", " b=0 ", 1)
+    path = tmp_path / "families.cat"
+    path.write_text(text)
+    assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 3
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: representative 1a: the discriminant vanishes\n")
+
+
 def test_long_product_chain_in_catalog_exits_at_its_line(tmp_path, capsys):
     # 800 factors of (1+t^n) once loaded and took about 0.5 s per evaluation;
     # the expansion passes MAX_TERMS monomials at the 32nd factor and is

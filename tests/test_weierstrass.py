@@ -66,7 +66,8 @@ def test_j_denominator_is_discriminant():
 
 def _dense(poly):
     out = []
-    for exp, coeff in poly.items():
+    for (exp, slope), coeff in poly.items():
+        assert slope == 0
         out += [F(0)] * (exp + 1 - len(out))
         out[exp] = F(coeff)
     return out
@@ -89,8 +90,9 @@ def _dense_add(p, q, sign=1):
 def _dense_mul(p, q):
     out = [F(0)] * max(len(p) + len(q) - 1, 0)
     for i, a in enumerate(p):
-        for j, b in enumerate(q):
-            out[i + j] += a * b
+        if a:  # most entries of a sparse polynomial's dense list are zero
+            for j, b in enumerate(q):
+                out[i + j] += a * b
     return _trim(out)
 
 
@@ -116,10 +118,36 @@ def _random_terms(rng, like=None):
     return terms
 
 
+_SLOPES = (0, 1, 2, F(1, 3), F(2, 3))
+
+
+def _random_terms_in_n(rng, like=None):
+    """Up to 4 terms t^(c+s*n) with c <= 5 and s in _SLOPES; with `like`, half cancel against it."""
+    terms = {}
+    if like is not None:
+        for mono, coeff in like.items():
+            if rng.random() < 0.5:
+                terms[mono] = -coeff
+    for _ in range(rng.randrange(0, 4)):
+        terms[rng.randrange(0, 6), rng.choice(_SLOPES)] = rng.choice(_COEFFS)
+    return terms
+
+
+def _dense_at(terms, n):
+    """The dense reference of {(c, s): coeff} at n, with 3 | n."""
+    out = []
+    for (c, s), coeff in terms.items():
+        exp = int(c + s * n)
+        out += [F(0)] * (exp + 1 - len(out))
+        out[exp] += F(coeff)
+    return _trim(out)
+
+
 def _assert_canonical(poly):
-    for _, coeff in poly.items():
+    for (_, slope), coeff in poly.items():
         assert coeff != 0
         assert type(coeff) is int or coeff.denominator != 1, coeff
+        assert type(slope) is int or slope.denominator != 1, slope
 
 
 def test_sparse_poly_against_dense_reference():
@@ -147,6 +175,25 @@ def test_sparse_poly_against_dense_reference():
             assert _dense(poly) == _trim(reference), (p, q, scalar, poly)
             assert poly == SparsePoly(dict(enumerate(reference)))
 
+    # The same operations keyed by (c, s), standing for t^(c+s*n): each must
+    # commute with evaluation at n, and keep integral slopes as ints.
+    for _ in range(150):
+        terms_p = _random_terms_in_n(rng)
+        p = SparsePoly(terms_p)
+        terms_q = _random_terms_in_n(rng, like=p)
+        q = SparsePoly(terms_q)
+        results = [
+            (p + q, _dense_add),
+            (p - q, lambda dp, dq: _dense_add(dp, dq, sign=-1)),
+            (p * q, _dense_mul),
+        ]
+        results += [(p ** k, lambda dp, dq, k=k: _dense_pow(dp, k)) for k in range(5)]
+        for poly, reference in results:
+            _assert_canonical(poly)
+            for n in (3, 6, 12):
+                expected = reference(_dense_at(terms_p, n), _dense_at(terms_q, n))
+                assert _dense(poly.evaluate(n)) == expected, (p, q, n, poly)
+
 
 def test_sparse_poly_stores_integral_coefficients_as_int():
     three = SparsePoly({0: F(3)})
@@ -157,4 +204,4 @@ def test_sparse_poly_stores_integral_coefficients_as_int():
     third = SparsePoly({1: F(1, 3)})
     for poly in (third * 3, third + third + third, third * F(3), (3 * third) ** 2):
         _assert_canonical(poly)
-    assert (third * 3).items() == [(1, 1)]
+    assert (third * 3).items() == [((1, 0), 1)]
