@@ -23,59 +23,9 @@ from .errors import CatalogError, DivisibilityError, NonEllipticError
 from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
-from .weierstrass import SparsePoly, WeierstrassData, _wrap, j_invariant
+from .weierstrass import SparsePoly, WeierstrassData, _wrap, affine_at, affine_text, j_invariant
 
 DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
-
-
-class Affine:
-    """Affine function const + slope*n of the family parameter.
-
-    const and slope are ints, or Fractions where not integral. The integer
-    numerators of const and slope over their least common denominator are
-    computed once on construction, so eval_int builds no Fraction.
-    Equality, hashing and repr use (const, slope) only.
-    """
-
-    __slots__ = ("const", "slope", "_den", "_const_num", "_slope_num")
-
-    def __init__(self, const=0, slope=0):
-        self.const = const
-        self.slope = slope
-        self._den = den = lcm(const.denominator, slope.denominator)
-        self._const_num = const.numerator * (den // const.denominator)
-        self._slope_num = slope.numerator * (den // slope.denominator)
-
-    def __eq__(self, other):
-        return type(other) is Affine and self.const == other.const and self.slope == other.slope
-
-    def __hash__(self):
-        return hash((self.const, self.slope))
-
-    def __repr__(self):
-        return f"Affine(const={self.const!r}, slope={self.slope!r})"
-
-    def value(self, n) -> Fraction:
-        return self.const + self.slope * n
-
-    def eval_int(self, n) -> int:
-        value, rest = divmod(self._const_num + self._slope_num * n, self._den)
-        if rest:
-            raise ValueError(f"{self} is not an integer at n={n}")
-        return value
-
-    def __str__(self):
-        parts = []
-        if self.slope:
-            num, den = self.slope.numerator, self.slope.denominator
-            head = "n" if abs(num) == 1 else f"{abs(num)}n"
-            if den != 1:
-                head += f"/{den}"
-            parts.append(("-" if num < 0 else "") + head)
-        if self.const or not self.slope:
-            sign = "-" if self.const < 0 else ("+" if parts else "")
-            parts.append(f"{sign}{abs(self.const)}")
-        return "".join(parts)
 
 
 # A term dn, dn/d or d of an affine expression, d a run of digits, optional before n.
@@ -84,10 +34,11 @@ _AFFINE = re.compile(rf"[+-]?{_AFFINE_TERM}(?:[+-]{_AFFINE_TERM})*")
 _AFFINE_PIECE = re.compile(rf"([+-]?){_AFFINE_TERM}")
 
 
-def parse_affine(text: str) -> Affine:
+def parse_affine(text: str) -> tuple:
     """Parse '0', '12', 'n', '3n', '2n-72', '-72+2n', 'n/3': terms joined by single signs.
 
-    Only a written denominator makes a Fraction.
+    Returns the pair (c, s) for c + s*n, the ring's monomial key. Only a
+    written denominator makes a Fraction.
     """
     text = text.replace(" ", "")
     if not text:
@@ -104,7 +55,7 @@ def parse_affine(text: str) -> Affine:
             slope += Fraction(int(sign + (coeff or "1")), int(den))
         else:
             raise ValueError(f"zero denominator in {_quote(text)}")
-    return Affine(const, slope)
+    return const, slope
 
 
 # --- closed-form polynomial expressions -------------------------------------
@@ -219,8 +170,7 @@ class PolyExpr:
             return terms
         if tok == "t":
             self._take()
-            exponent = self._exponent()
-            return _wrap({(exponent.const, exponent.slope): 1})
+            return _wrap({self._exponent(): 1})
         if tok is not None and tok.isdigit():
             self._take()
             value = int(tok)
@@ -237,7 +187,7 @@ class PolyExpr:
     def _exponent(self):
         # t without ^ means exponent 1
         if not self._try("^"):
-            return Affine(1)
+            return 1, 0
         if self._try("("):
             parts = []
             while self._peek() != ")":
@@ -265,7 +215,7 @@ class PolyExpr:
         try:
             return self.terms.evaluate(n)
         except ValueError as exc:
-            raise ValueError(f"{exc} in {_quote(self.text)}") from None
+            raise ValueError(f"exponent {exc} in {_quote(self.text)}") from None
 
     def __repr__(self):
         return f"PolyExpr({self.text!r})"
@@ -277,13 +227,12 @@ class FamilyRow(NamedTuple):
     """One table row: a four-term family with its rank data and mapping."""
 
     id: str
-    terms: tuple  # ((t: Affine, x: int, y: int), ...) exactly 4
+    terms: tuple  # ((t: (c, s), x: int, y: int), ...) exactly 4
     polygon: str
     table_n: int
     max_rank: int
     rep: str
     nmap: Fraction
-    neff: int | None = None
 
 
 class Representative(NamedTuple):
@@ -291,8 +240,8 @@ class Representative(NamedTuple):
 
     id: str
     divisibility: int
-    lambda_formula: Affine
-    fibers: tuple  # ((family, index Affine | None, count Affine), ...)
+    lambda_formula: tuple  # (c, s) for c + s*n
+    fibers: tuple  # ((family, index (c, s) | None, count (c, s)), ...)
     a: PolyExpr
     b: PolyExpr
     delta: PolyExpr
@@ -347,14 +296,10 @@ def _parse_fibers(text: str):
         if match is None:
             raise ValueError(f"bad fiber entry {chunk!r}")
         family, index, count = match.groups()
-        if family in ("I", "I*"):
-            if index is None:
-                raise ValueError(f"type {family} needs an index in {chunk!r}")
-            entries.append((family, parse_affine(index), parse_affine(count)))
-        else:
-            if index is not None:
-                raise ValueError(f"type {family} takes no index in {chunk!r}")
-            entries.append((family, None, parse_affine(count)))
+        if (index is None) == (family in ("I", "I*")):
+            need = "needs an" if index is None else "takes no"
+            raise ValueError(f"type {family} {need} index in {chunk!r}")
+        entries.append((family, None if index is None else parse_affine(index), parse_affine(count)))
     return tuple(entries)
 
 
@@ -376,7 +321,7 @@ def _parse_terms(text: str):
 
 #: The code points that errors="surrogateescape" decodes the bytes that are not UTF-8 to.
 _NOT_UTF8 = re.compile("[\udc80-\udcff]")
-_ROW_FIELDS = {"id", "terms", "polygon", "table_n", "rank", "rep", "nmap", "neff"}
+_ROW_FIELDS = {"id", "terms", "polygon", "table_n", "rank", "rep", "nmap"}
 _REP_FIELDS = {"id", "div", "lambda", "fibers", "a", "b", "delta", "jnum", "jden"}
 
 
@@ -406,7 +351,7 @@ class Catalog:
         if n < 1:
             raise ValueError("n must be at least 1")
         row = self.row(family_id)
-        return tuple((t.eval_int(n), x, y) for t, x, y in row.terms)
+        return tuple((affine_at(t, n), x, y) for t, x, y in row.terms)
 
     def support(self, family_id: str):
         """The (x, y) support set; independent of n."""
@@ -430,7 +375,7 @@ class Catalog:
     def fibers_at(self, rep_id: str, n: int):
         rep = self.representative(rep_id)
         return tuple(
-            (Kodaira(family, index.eval_int(n) if index is not None else 0), count.eval_int(n))
+            (Kodaira(family, affine_at(index, n) if index is not None else 0), affine_at(count, n))
             for family, index, count in rep.fibers
         )
 
@@ -488,7 +433,7 @@ class Catalog:
             rank = mordell_weil_rank(h2, lam, rho)
             checks = (
                 ("divisibility", True),
-                ("lambda-formula", lam == rep.lambda_formula.eval_int(n)),
+                ("lambda-formula", lam == affine_at(rep.lambda_formula, n)),
                 ("delta-identity", self._identities_hold(rep)),
             )
             self._rank_cache[key] = RankReport(
@@ -497,11 +442,9 @@ class Catalog:
         return self._rank_cache[key]
 
     def table_parameter(self, family_id: str) -> int:
-        """The representative parameter used to reproduce a table row."""
-        row = self.row(family_id)
-        if row.neff is not None:
-            return row.neff
-        return self.representative_at(row.id, row.table_n)[1]
+        """The representative parameter used to reproduce a table row: lcm(nmap*table_n, div)."""
+        rep_id, rep_n = self.representative_at(family_id, self.row(family_id).table_n)
+        return lcm(rep_n, self.representative(rep_id).divisibility)
 
     def reproduce_table(self):
         """Recompute every table row through its representative mapping."""
@@ -527,20 +470,18 @@ class Catalog:
         return entries
 
 
-def _check_poly(key, expr, divisibility):
-    """Reject a representative's polynomial that the identity proof cannot take.
+def _check_affine(field, pair, divisibility, low=None):
+    """Reject a representative's c + s*n unless s >= 0, s*div is integral and c + s*div >= low.
 
-    Every monomial t^(c+s*n) of the expansion must have s >= 0, s*div
-    integral and c + s*div >= 0, so that with n = div*m and u = t^m it is
-    t^c u^(s*div) and its exponent stays a nonnegative integer at every
-    valid n.
+    Then at every valid n = div*m it is an integer of at least low, and a
+    monomial t^(c+s*n) with low = 0 is t^c u^(s*div) in u = t^m, as the
+    identity proof needs.
     """
-    for (c, s), _ in expr.terms.items():
-        if s < 0 or (s * divisibility) % 1 or c + s * divisibility < 0:
-            raise ValueError(
-                f"{key}=: exponent {Affine(c, s)} = c + s*n needs s >= 0, s*div integral "
-                f"and c + s*div >= 0 (div={divisibility})"
-            )
+    _, s = pair
+    if s < 0 or (s * divisibility) % 1 or (low is not None and affine_at(pair, divisibility) < low):
+        bound = "" if low is None else f" and c + s*div >= {low}"
+        raise ValueError(f"{field} {affine_text(pair)} = c + s*n needs s >= 0, "
+                         f"s*div integral{bound} (div={divisibility})")
 
 
 def _parse_record(kind, fields, line_no):
@@ -562,7 +503,6 @@ def _parse_record(kind, fields, line_no):
                 max_rank=int(need("rank")),
                 rep=need("rep"),
                 nmap=Fraction(need("nmap")),
-                neff=int(fields["neff"]) if "neff" in fields else None,
             )
         unknown = set(fields) - _REP_FIELDS
         if unknown:
@@ -581,9 +521,15 @@ def _parse_record(kind, fields, line_no):
             j_num=PolyExpr(need("jnum")),
             j_den=PolyExpr(need("jden")),
         )
+        _check_affine("lambda=:", rep.lambda_formula, divisibility)
+        for family, index, count in rep.fibers:
+            if index is not None:
+                _check_affine(f"fibers=: {family} index", index, divisibility, 1 if family == "I" else 0)
+            _check_affine(f"fibers=: {family} count", count, divisibility, 1)
         for key, expr in (("a", rep.a), ("b", rep.b), ("delta", rep.delta),
                           ("jnum", rep.j_num), ("jden", rep.j_den)):
-            _check_poly(key, expr, divisibility)
+            for mono, _ in expr.terms.items():
+                _check_affine(f"{key}=: exponent", mono, divisibility, 0)
         return rep
     except CatalogError:
         raise
@@ -657,13 +603,13 @@ def load_catalog(path=None) -> Catalog:
                 f"row {row.id}: hull classifies as {label}, catalog says {row.polygon}",
                 line_no,
             )
-        target = row.neff if row.neff is not None else rep_n
-        if target % rep_n:
-            raise CatalogError(f"row {row.id}: neff={row.neff} is not a multiple of {rep_n}", line_no)
-        if target % reps[row.rep].divisibility:
+        # The table replays a row at lcm(rep_n, div). By base change the rank
+        # there bounds the rank at rep_n from above, which pins it only at 0.
+        divisibility = reps[row.rep].divisibility
+        if rep_n % divisibility and row.max_rank:
             raise CatalogError(
-                f"row {row.id}: parameter {target} violates divisibility "
-                f"{reps[row.rep].divisibility} of representative {row.rep}",
+                f"row {row.id}: parameter {rep_n} violates divisibility "
+                f"{divisibility} of representative {row.rep}",
                 line_no,
             )
     for rep_id in reps:

@@ -286,12 +286,14 @@ def _primes_up_to(limit: int):
 def prime_gap_scan(limit: int):
     """Multiples of 3 in (3, limit] with no prime p = 2 (mod 3), 3p < n, p not | n.
 
-    These n are the reduced denominators for which the multiplier search
-    of the admissibility test finds no witness below 1/3; the search only
-    ever reaches denominators divisible by 3, and without that restriction
-    a handful of small n (4, 5, 8, 10, 14, 20) qualify vacuously because
-    no prime satisfies 3p < n at all. A scan up to 51 already determines
-    the full answer; larger limits certify stability.
+    A standalone check of a prime-gap lemma, run by ``verify --suite
+    lemma`` and kept for a future proof of lambda at every n (ROADMAP item
+    5). No rank or lambda computation uses it: the admissibility test
+    scans every unit t <= m // 2. Only multiples of 3 are scanned; without
+    that restriction a handful of small n (4, 5, 8, 10, 14, 20) would
+    qualify vacuously because no prime satisfies 3p < n at all. A scan up
+    to 51 already determines the full answer; larger limits certify
+    stability.
     """
     if limit < 4:
         raise ValueError("limit must be at least 4")

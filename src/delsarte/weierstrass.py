@@ -7,6 +7,10 @@ slopes are exact: an int when integral, a Fraction only when not. The
 ring operations build their dict directly and never route it back through
 the validating constructor, so integral arithmetic stays in int.
 
+The same pair is the catalog's one encoding of a value affine in n: term
+exponents, the closed form of lambda, fiber indices and counts.
+``affine_at`` is its only evaluator and ``affine_text`` its only printer.
+
 Curves are y^2 = x^3 + a x + b; the discriminant is -16(4a^3 + 27b^2)
 and j is kept as the unreduced pair (1728 * 4a^3, 4a^3 + 27b^2), so
 comparisons cross-multiply instead of needing polynomial gcds.
@@ -18,6 +22,29 @@ from fractions import Fraction
 from typing import NamedTuple
 
 from .errors import NonEllipticError
+
+
+def affine_at(pair, n) -> int:
+    """The value c + s*n of the pair (c, s) at n; ValueError unless it is an integer."""
+    c, s = pair
+    value = c + s * n
+    if value.denominator != 1:
+        raise ValueError(f"{affine_text(pair)} is not integral at n={n}")
+    return int(value)
+
+
+def affine_text(pair) -> str:
+    """The pair (c, s) as catalog text: 2n-72, -n/3+1, n, 12, 0."""
+    c, s = pair
+    parts = []
+    if s:
+        num, den = s.numerator, s.denominator
+        head = ("n" if abs(num) == 1 else f"{abs(num)}n") + (f"/{den}" if den != 1 else "")
+        parts.append(("-" if num < 0 else "") + head)
+    if c or not s:
+        sign = "-" if c < 0 else ("+" if parts else "")
+        parts.append(f"{sign}{abs(c)}")
+    return "".join(parts)
 
 
 def _trimmed(data) -> dict:
@@ -65,10 +92,6 @@ class SparsePoly:
             data[mono] = data[mono] + coeff if mono in data else coeff
         self._coeffs = _trimmed(data)
 
-    @classmethod
-    def monomial(cls, exponent, coeff=1) -> "SparsePoly":
-        return cls({exponent: coeff})
-
     @property
     def is_zero(self) -> bool:
         return not self._coeffs
@@ -82,10 +105,8 @@ class SparsePoly:
     def evaluate(self, n: int) -> "SparsePoly":
         """The polynomial at parameter n, each monomial (c, s) becoming t^(c+s*n)."""
         out = {}
-        for (c, s), coeff in self._coeffs.items():
-            exponent, rest = divmod(c + s * n, 1)
-            if rest:
-                raise ValueError(f"exponent {c}+{s}*n is not integral at n={n}")
+        for mono, coeff in self._coeffs.items():
+            exponent = affine_at(mono, n)
             if exponent < 0:
                 raise ValueError("negative exponents are not supported")
             mono = (exponent, 0)
@@ -137,7 +158,10 @@ class SparsePoly:
             base = base * base
 
     def __eq__(self, other):
-        other = other if isinstance(other, SparsePoly) else SparsePoly(other)
+        if isinstance(other, (int, Fraction)):
+            other = SparsePoly(other)
+        elif not isinstance(other, SparsePoly):
+            return NotImplemented
         return self._coeffs == other._coeffs
 
     def __hash__(self):

@@ -15,8 +15,16 @@ from delsarte import (
     j_invariant,
     load_catalog,
 )
-from delsarte.catalog import DEFAULT_CATALOG, MAX_TERMS, Affine, PolyExpr, parse_affine
+from delsarte.catalog import (
+    _REP_FIELDS,
+    _ROW_FIELDS,
+    DEFAULT_CATALOG,
+    MAX_TERMS,
+    PolyExpr,
+    parse_affine,
+)
 from delsarte.errors import CatalogError, DivisibilityError, NonEllipticError
+from delsarte.weierstrass import affine_at, affine_text
 
 REP_IDS = ["1a", "1b", "1c", "1d", "1g", "2a", "2b", "2e", "3d", "11", "12"]
 
@@ -35,23 +43,44 @@ def test_group_sizes(catalog):
 
 
 def test_affine_parsing():
-    assert parse_affine("2n-72") == Affine(Fraction(-72), Fraction(2))
+    # parse_affine returns the ring's exponent pair (c, s) for c + s*n.
+    assert parse_affine("2n-72") == (Fraction(-72), Fraction(2))
     # Integral parts parse to ints, which equal and hash like the Fractions.
-    assert hash(parse_affine("2n-72")) == hash(Affine(Fraction(-72), Fraction(2)))
-    assert parse_affine("2n-72") != Affine(-72, 3)
-    assert parse_affine("n") == Affine(Fraction(0), Fraction(1))
-    assert parse_affine("-72+2n") == Affine(Fraction(-72), Fraction(2))
-    assert parse_affine("n/3") == Affine(Fraction(0), Fraction(1, 3))
-    assert parse_affine("12") == Affine(Fraction(12), Fraction(0))
-    assert parse_affine("n/3").eval_int(6) == 2
-    with pytest.raises(ValueError):
-        parse_affine("n/3").eval_int(7)
-    assert parse_affine("-2n/3+1") == Affine(1, Fraction(-2, 3))
+    assert hash(parse_affine("2n-72")) == hash((Fraction(-72), Fraction(2)))
+    assert parse_affine("2n-72") != (-72, 3)
+    assert parse_affine("n") == (Fraction(0), Fraction(1))
+    assert parse_affine("-72+2n") == (Fraction(-72), Fraction(2))
+    assert parse_affine("n/3") == (Fraction(0), Fraction(1, 3))
+    assert parse_affine("12") == (Fraction(12), Fraction(0))
+    assert affine_at(parse_affine("n/3"), 6) == 2
+    with pytest.raises(ValueError, match="n/3 is not integral at n=7"):
+        affine_at(parse_affine("n/3"), 7)
+    assert parse_affine("-2n/3+1") == (1, Fraction(-2, 3))
     for text in ("n^2", "2n-72-", "+", "2n--72", "--n", "3n+-2", "n/", "1/3"):
         with pytest.raises(ValueError, match="bad affine expression"):
             parse_affine(text)
     with pytest.raises(ValueError, match="zero denominator in '6n/0'"):
         parse_affine("6n/0")
+
+
+def test_affine_text_round_trips():
+    assert [affine_text(p) for p in [(-72, 2), (0, 0), (12, 0), (0, -1), (1, Fraction(-2, 3))]] == [
+        "2n-72", "0", "12", "-n", "-2n/3+1",
+    ]
+    rng = random.Random(22)
+    slopes = [0, 1, -1, 3, Fraction(2, 3), Fraction(-1, 3), Fraction(5, 12)]
+    for _ in range(500):
+        pair = (rng.randint(-400, 400), rng.choice(slopes) * rng.choice([1, 1, 2, -5]))
+        assert parse_affine(affine_text(pair)) == pair, pair
+
+
+def test_catalog_grammar_names_the_loader_fields():
+    # The grammar comment at the top of the catalog is the format's only
+    # documentation, so it must name exactly the fields the loader accepts.
+    grammar = re.findall(r"^#   (family|representative) (.*\n(?:#          .*\n)*)",
+                         DEFAULT_CATALOG.read_text(), re.M)
+    fields = {kind: set(re.findall(r"(\w+)=", text)) for kind, text in grammar}
+    assert fields == {"family": _ROW_FIELDS, "representative": _REP_FIELDS}
 
 
 def test_records_are_immutable(catalog):
@@ -180,16 +209,16 @@ def test_h2_and_rho_closed_forms(catalog):
 
 def test_poly_expr_terms():
     # (c, s) -> coefficient, one entry per monomial t^(c+s*n); ints where integral.
-    assert PolyExpr("-(t^4n+24*t^n)^3").terms == {
+    assert PolyExpr("-(t^4n+24*t^n)^3").terms == SparsePoly({
         (0, 12): -1, (0, 9): -72, (0, 6): -1728, (0, 3): -13824,
-    }
-    assert PolyExpr("-432*(1+t^n)^2+t^(2n)-t^(n+360)").terms == {
+    })
+    assert PolyExpr("-432*(1+t^n)^2+t^(2n)-t^(n+360)").terms == SparsePoly({
         (0, 0): -432, (0, 1): -864, (0, 2): -431, (360, 1): -1,
-    }
-    assert PolyExpr("(t^(n-3)+t^2)*t^(n/3)").terms == {
+    })
+    assert PolyExpr("(t^(n-3)+t^2)*t^(n/3)").terms == SparsePoly({
         (-3, Fraction(4, 3)): 1, (2, Fraction(1, 3)): 1,
-    }
-    assert PolyExpr("7").terms == {(0, 0): 7}
+    })
+    assert PolyExpr("7").terms == SparsePoly({(0, 0): 7})
     for text in ("-(t^4n+24*t^n)^3", "t^(n/3)*t^(2n/3)-1/3*3", "7"):
         for (c, s), coeff in PolyExpr(text).terms.items():
             assert (type(c), type(s), type(coeff)) == (int, int, int), text
@@ -218,11 +247,11 @@ def _reference_evaluate(text, n):
     """
 
     def monomial(match):
-        exponent = parse_affine((match.group(1) or "1").strip("()")).eval_int(n)
+        exponent = affine_at(parse_affine((match.group(1) or "1").strip("()")), n)
         return f"T({exponent})"
 
     code = _RATIONAL.sub(r"F(\1, \2)", _POWER_OF_T.sub(monomial, text)).replace("^", "**")
-    value = eval(code, {"T": SparsePoly.monomial, "F": Fraction})
+    value = eval(code, {"T": lambda exponent: SparsePoly({exponent: 1}), "F": Fraction})
     return value if isinstance(value, SparsePoly) else SparsePoly(value)
 
 
@@ -358,6 +387,14 @@ def test_wrong_polygon_label_rejected(tmp_path):
         ("lambda=2n-72 ", "lambda=6n/0 ", 86, "zero denominator in '6n/0'"),
         ("b=1+t^n ", "b=1+t^(n/0) ", 86, "zero denominator in 'n/0'"),
         ("b=1+t^n ", "b=1/0 ", 86, "zero denominator in '1/0'"),
+        # neff is gone: the table parameter is lcm(nmap*table_n, div)
+        ("table_n=1 rank=0 rep=12 nmap=1\nfamily id=11", "table_n=1 rank=0 rep=12 nmap=1 neff=2\nfamily id=11",
+         81, "unknown fields ['neff']"),
+        # fiber and lambda fields must be valid at every n = div*m, not only
+        # at the n a run happens to use
+        ("fibers=I(1):3n ", "fibers=I(n-840):3n ", 87, "fibers=: I index n-840"),
+        ("fibers=I(1):3n ", "fibers=I(1):3n-2520 ", 87, "fibers=: I count 3n-2520"),
+        ("lambda=2n-72 ", "lambda=n/7 ", 86, "lambda=: n/7"),
     ],
     ids=[
         "div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id",
@@ -365,7 +402,8 @@ def test_wrong_polygon_label_rejected(tmp_path):
         "product-degree-cap", "constant-product-degree-cap", "product-term-cap",
         "sum-term-cap", "affine-trailing-sign", "affine-bare-sign", "affine-double-sign",
         "affine-leading-double-sign", "affine-plus-minus", "affine-zero-denominator",
-        "exponent-zero-denominator", "rational-zero-denominator",
+        "exponent-zero-denominator", "rational-zero-denominator", "neff-field",
+        "fiber-index-below-one", "fiber-count-below-one", "lambda-slope-off-div",
     ],
 )
 def test_bad_record_rejected_at_its_line(tmp_path, old, new, line, says):

@@ -6,7 +6,10 @@ from delsarte import SparsePoly, WeierstrassData, discriminant, j_invariant
 from delsarte.errors import NonEllipticError
 
 F = Fraction
-T = SparsePoly.monomial
+
+
+def T(exponent):
+    return SparsePoly({exponent: 1})
 
 
 def test_poly_ring_ops():
@@ -23,6 +26,16 @@ def test_poly_normalization():
     assert (T(2) - T(2)).is_zero
     with pytest.raises(ValueError):
         SparsePoly({-1: 1})
+
+
+def test_poly_equality_with_other_types():
+    # Constants compare as constant polynomials; anything else is unequal, not an error.
+    assert SparsePoly(3) == 3 and 3 == SparsePoly(3)
+    assert SparsePoly(F(1, 2)) == F(1, 2) and SparsePoly(0) == 0
+    assert SparsePoly(1) != T(1) and SparsePoly(2) != 3
+    for other in (None, 1.5, "x", (0, 1), [1], {0: 1}):
+        assert SparsePoly(1) != other and not SparsePoly(1) == other, other
+        assert other != SparsePoly(1), other
 
 
 def test_discriminant_examples():
