@@ -24,7 +24,6 @@ from .lattice import (
     ExponentMatrix,
     group_order,
     homogenize,
-    in_lambda,
     lattice_generators,
     lefschetz_number,
 )
@@ -37,7 +36,6 @@ from .polygon import (
     integral_equivalence,
     lattice_counts,
     to_default_position,
-    transform_support,
 )
 from .weierstrass import SparsePoly, WeierstrassData, discriminant, j_invariant
 
@@ -63,7 +61,6 @@ __all__ = [
     "euler_number",
     "group_order",
     "homogenize",
-    "in_lambda",
     "integral_equivalence",
     "j_invariant",
     "lattice_counts",
@@ -74,5 +71,4 @@ __all__ = [
     "rho_triv",
     "second_betti",
     "to_default_position",
-    "transform_support",
 ]

@@ -20,7 +20,7 @@ from pathlib import Path
 from typing import NamedTuple
 
 from .errors import CatalogError, DivisibilityError, NonEllipticError
-from .fibers import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
+from .fibers import KODAIRA_TYPES, Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
 from .weierstrass import SparsePoly, WeierstrassData, _wrap, affine_at, affine_text, j_invariant
@@ -286,7 +286,7 @@ class TableEntry(NamedTuple):
         return self._asdict()
 
 
-_FIBER_ENTRY = re.compile(r"^(I\*?|II\*?|III\*?|IV\*?)(?:\(([^)]*)\))?:(.+)$")
+_FIBER_ENTRY = re.compile(rf"^({'|'.join(map(re.escape, KODAIRA_TYPES))})(?:\(([^)]*)\))?:(.+)$")
 
 
 def _parse_fibers(text: str):
@@ -296,7 +296,8 @@ def _parse_fibers(text: str):
         if match is None:
             raise ValueError(f"bad fiber entry {chunk!r}")
         family, index, count = match.groups()
-        if (index is None) == (family in ("I", "I*")):
+        _, _, least = KODAIRA_TYPES[family]
+        if (index is None) == (least is not None):
             need = "needs an" if index is None else "takes no"
             raise ValueError(f"type {family} {need} index in {chunk!r}")
         entries.append((family, None if index is None else parse_affine(index), parse_affine(count)))
@@ -471,11 +472,12 @@ class Catalog:
 
 
 def _check_affine(field, pair, divisibility, low=None):
-    """Reject a representative's c + s*n unless s >= 0, s*div is integral and c + s*div >= low.
+    """Reject c + s*n unless s >= 0, s*div is integral and c + s*div >= low.
 
     Then at every valid n = div*m it is an integer of at least low, and a
     monomial t^(c+s*n) with low = 0 is t^c u^(s*div) in u = t^m, as the
-    identity proof needs.
+    identity proof needs. A family row is valid at every n, so its term
+    exponents are checked with div = 1.
     """
     _, s = pair
     if s < 0 or (s * divisibility) % 1 or (low is not None and affine_at(pair, divisibility) < low):
@@ -495,7 +497,7 @@ def _parse_record(kind, fields, line_no):
             unknown = set(fields) - _ROW_FIELDS
             if unknown:
                 raise ValueError(f"unknown fields {sorted(unknown)}")
-            return FamilyRow(
+            row = FamilyRow(
                 id=need("id"),
                 terms=_parse_terms(need("terms")),
                 polygon=need("polygon"),
@@ -504,6 +506,9 @@ def _parse_record(kind, fields, line_no):
                 rep=need("rep"),
                 nmap=Fraction(need("nmap")),
             )
+            for exponent, _, _ in row.terms:
+                _check_affine("terms=: exponent", exponent, 1, 0)
+            return row
         unknown = set(fields) - _REP_FIELDS
         if unknown:
             raise ValueError(f"unknown fields {sorted(unknown)}")
@@ -524,7 +529,7 @@ def _parse_record(kind, fields, line_no):
         _check_affine("lambda=:", rep.lambda_formula, divisibility)
         for family, index, count in rep.fibers:
             if index is not None:
-                _check_affine(f"fibers=: {family} index", index, divisibility, 1 if family == "I" else 0)
+                _check_affine(f"fibers=: {family} index", index, divisibility, KODAIRA_TYPES[family][2])
             _check_affine(f"fibers=: {family} count", count, divisibility, 1)
         for key, expr in (("a", rep.a), ("b", rep.b), ("delta", rep.delta),
                           ("jnum", rep.j_num), ("jden", rep.j_den)):

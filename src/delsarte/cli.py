@@ -18,7 +18,7 @@ from itertools import chain
 
 from .catalog import load_catalog
 from .errors import DelsarteError, GroupTooLargeError, PolynomialSyntaxError, SingularMatrixError
-from .lattice import group_order, homogenize, lefschetz_number
+from .lattice import group_order, homogenize, lefschetz_number, validate_terms
 from .polygon import classify_one_interior, convex_hull, integral_equivalence, lattice_counts
 from .weierstrass import discriminant, j_invariant
 
@@ -62,8 +62,9 @@ def parse_polynomial(text: str):
     Grammar: terms joined by '+'; a term is a product (optional '*') of
     factors t, X, Y, each with an optional '^' and a nonnegative integer
     exponent, or the constant 1. Unit coefficients only: forms like
-    (1+t^n)X^3 are entered as two terms. Raises PolynomialSyntaxError
-    with a character position.
+    (1+t^n)X^3 are entered as two terms. Raises PolynomialSyntaxError,
+    with a character position when the text does not parse, and without
+    one when the terms are not four distinct monomials (validate_terms).
     """
     tokens = _tokenize_poly(text)
     if not tokens:
@@ -120,11 +121,10 @@ def parse_polynomial(text: str):
         if kind != "+":
             raise PolynomialSyntaxError(f"expected '+', got {value!r}", pos)
         index += 1
-    if len(terms) != 4:
-        raise PolynomialSyntaxError(f"need exactly 4 terms, got {len(terms)}")
-    if len(set(terms)) != 4:
-        raise PolynomialSyntaxError("repeated identical monomial")
-    return tuple(terms)
+    try:
+        return validate_terms(terms)
+    except ValueError as exc:
+        raise PolynomialSyntaxError(str(exc)) from None
 
 
 # --- helpers ------------------------------------------------------------------

@@ -1,10 +1,11 @@
 """Kodaira fiber types and the numerical surface invariants they drive.
 
-The per-type Euler numbers and component counts are the standard tables:
-
-    type      I_k   I*_k   II  III  IV  IV*  III*  II*
-    euler      k    k+6     2    3   4    8     9   10
-    components k    k+5     1    2   3    7     8    9
+``KODAIRA_TYPES`` is the one table of the types, read by ``Kodaira`` and
+by the catalog loader. A type with a least index is written with an
+index k of at least that value (I_k with k >= 1, I*_k with k >= 0); the
+other six take none, and their k is 0. The Euler number of a fiber is
+its type's Euler offset plus k, and its component count the component
+offset plus k (the standard tables).
 
 The second Betti number of the elliptic surfaces handled here is the
 total Euler number minus 2, and the trivial-lattice rank is
@@ -18,50 +19,49 @@ from typing import NamedTuple
 
 from .errors import InvalidConfigError, RankInconsistencyError
 
-_PLAIN = {"II": (2, 1), "III": (3, 2), "IV": (4, 3), "IV*": (8, 7), "III*": (9, 8), "II*": (10, 9)}
+#: Kodaira type -> (Euler offset, component offset, least index or None).
+KODAIRA_TYPES = {
+    "I": (0, 0, 1),
+    "I*": (6, 5, 0),
+    "II": (2, 1, None),
+    "III": (3, 2, None),
+    "IV": (4, 3, None),
+    "IV*": (8, 7, None),
+    "III*": (9, 8, None),
+    "II*": (10, 9, None),
+}
 
 
 class Kodaira(NamedTuple("Kodaira", [("family", str), ("k", int)])):
-    """A Kodaira type: I_k (k >= 1), I*_k (k >= 0) or one of the six constants."""
+    """A Kodaira type: a name in KODAIRA_TYPES and its index k (0 when it takes none)."""
 
     __slots__ = ()
 
     def __new__(cls, family, k=0):
-        if family == "I":
-            if k < 1:
-                raise ValueError("I_k needs k >= 1")
-        elif family == "I*":
-            if k < 0:
-                raise ValueError("I*_k needs k >= 0")
-        elif family in _PLAIN:
+        try:
+            _, _, least = KODAIRA_TYPES[family]
+        except KeyError:
+            raise ValueError(f"unknown Kodaira type {family!r}") from None
+        if least is None:
             if k:
                 raise ValueError(f"type {family} takes no index")
-        else:
-            raise ValueError(f"unknown Kodaira type {family!r}")
+        elif k < least:
+            raise ValueError(f"{family}_k needs k >= {least}")
         return super().__new__(cls, family, k)
 
     @property
     def euler(self) -> int:
-        if self.family == "I":
-            return self.k
-        if self.family == "I*":
-            return self.k + 6
-        return _PLAIN[self.family][0]
+        return KODAIRA_TYPES[self.family][0] + self.k
 
     @property
     def components(self) -> int:
-        if self.family == "I":
-            return self.k
-        if self.family == "I*":
-            return self.k + 5
-        return _PLAIN[self.family][1]
+        return KODAIRA_TYPES[self.family][1] + self.k
 
     def __str__(self):
-        if self.family == "I":
-            return f"I{self.k}"
-        if self.family == "I*":
-            return f"I{self.k}*"
-        return self.family
+        # The index follows the leading I: I3, I0*.
+        if KODAIRA_TYPES[self.family][2] is None:
+            return self.family
+        return f"{self.family[:1]}{self.k}{self.family[1:]}"
 
 
 #: A fiber configuration: ((Kodaira, count), ...); order never matters.

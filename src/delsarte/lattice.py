@@ -26,7 +26,7 @@ from __future__ import annotations
 from fractions import Fraction
 from functools import lru_cache
 from itertools import product
-from math import gcd, lcm
+from math import gcd
 
 from .errors import GroupOrderError, GroupTooLargeError, SingularMatrixError
 
@@ -35,12 +35,12 @@ Term = tuple[int, int, int]
 
 
 def validate_terms(terms) -> tuple[Term, ...]:
-    """Check and canonicalize a four-term support."""
+    """Check and canonicalize a four-term support: four distinct nonnegative triples."""
     terms = tuple((int(a), int(b), int(c)) for a, b, c in terms)
     if len(terms) != 4:
         raise ValueError(f"need exactly 4 terms, got {len(terms)}")
     if len(set(terms)) != 4:
-        raise ValueError("the 4 terms must be pairwise distinct")
+        raise ValueError("repeated identical monomial")
     if any(e < 0 for term in terms for e in term):
         raise ValueError("exponents must be nonnegative")
     return terms
@@ -273,21 +273,6 @@ def _admissible(cell, m) -> bool:
         if gcd(t, m) == 1 and (t * c0) % m + (t * c1) % m + (t * c2) % m + (t * c3) % m != twice:
             return True
     return False
-
-
-def in_lambda(vector) -> bool:
-    """Admissibility of a single character vector.
-
-    True iff all four coordinates are nonzero in Q/Z and some t in [1, N]
-    with gcd(t, N) = 1 (N the lcm of the coordinate orders; this is
-    exactly order preservation) has lifts summing to something other
-    than 2.
-    """
-    vector = tuple(Fraction(c) % 1 for c in vector)
-    if len(vector) != 4:
-        raise ValueError(f"expected 4 coordinates, got {len(vector)}")
-    m = lcm(*(f.denominator for f in vector))
-    return _admissible(tuple(int(f * m) for f in vector), m)
 
 
 def group_order(matrix: ExponentMatrix) -> int:

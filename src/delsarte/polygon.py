@@ -101,28 +101,6 @@ class UnimodularAffineMap(NamedTuple("UnimodularAffineMap", [("matrix", tuple), 
         x, y = point
         return (x * a + y * c + self.shift[0], x * b + y * d + self.shift[1])
 
-    def inverse(self) -> "UnimodularAffineMap":
-        (a, b), (c, d) = self.matrix
-        det = a * d - b * c  # +1 or -1, so division is exact
-        inv = ((d // det, -b // det), (-c // det, a // det))
-        sx, sy = self.shift
-        back = (
-            -(sx * inv[0][0] + sy * inv[1][0]),
-            -(sx * inv[0][1] + sy * inv[1][1]),
-        )
-        return UnimodularAffineMap(inv, back)
-
-    def compose(self, first: "UnimodularAffineMap") -> "UnimodularAffineMap":
-        """The map p -> self(first(p))."""
-        (a, b), (c, d) = first.matrix
-        (e, f), (g, h) = self.matrix
-        matrix = (
-            (a * e + b * g, a * f + b * h),
-            (c * e + d * g, c * f + d * h),
-        )
-        shift = self.apply(first.shift)
-        return UnimodularAffineMap(matrix, shift)
-
 
 def integral_equivalence(p: Polygon, q: Polygon):
     """A witness map sending p onto q as point sets, or None.
@@ -277,17 +255,3 @@ def enumerate_one_interior_classes(bound: int):
     if bound < 4:
         raise ValueError("census bound must be at least 4")
     return list(_census_classes(bound))
-
-
-def transform_support(points, umap: UnimodularAffineMap):
-    """Image of a support under a unimodular map, shifted to default position.
-
-    Output order matches input order, so per-point data (coefficients)
-    carries over positionally. The underlying change of variables is the
-    monomial substitution determined by the matrix.
-    """
-    image = [umap.apply((int(x), int(y))) for x, y in points]
-    minx = min(x for x, _ in image)
-    miny = min(y for _, y in image)
-    return [(x - minx, y - miny) for x, y in image]
-

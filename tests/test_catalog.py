@@ -24,6 +24,7 @@ from delsarte.catalog import (
     parse_affine,
 )
 from delsarte.errors import CatalogError, DivisibilityError, NonEllipticError
+from delsarte.fibers import KODAIRA_TYPES
 from delsarte.weierstrass import affine_at, affine_text
 
 REP_IDS = ["1a", "1b", "1c", "1d", "1g", "2a", "2b", "2e", "3d", "11", "12"]
@@ -81,6 +82,17 @@ def test_catalog_grammar_names_the_loader_fields():
                          DEFAULT_CATALOG.read_text(), re.M)
     fields = {kind: set(re.findall(r"(\w+)=", text)) for kind, text in grammar}
     assert fields == {"family": _ROW_FIELDS, "representative": _REP_FIELDS}
+
+
+def test_catalog_grammar_names_the_kodaira_types():
+    # The TYPE line names exactly the types of the Kodaira table, and the
+    # ones among them that take an index.
+    names, indexed = re.search(r"^#   TYPE : Kodaira type (.*); (.*) take a$",
+                               DEFAULT_CATALOG.read_text(), re.M).groups()
+    assert names.split(", ") == list(KODAIRA_TYPES)
+    assert indexed.split(" and ") == [
+        name for name, (_, _, least) in KODAIRA_TYPES.items() if least is not None
+    ]
 
 
 def test_records_are_immutable(catalog):
@@ -395,6 +407,12 @@ def test_wrong_polygon_label_rejected(tmp_path):
         ("fibers=I(1):3n ", "fibers=I(n-840):3n ", 87, "fibers=: I index n-840"),
         ("fibers=I(1):3n ", "fibers=I(1):3n-2520 ", 87, "fibers=: I count 3n-2520"),
         ("lambda=2n-72 ", "lambda=n/7 ", 86, "lambda=: n/7"),
+        # a row's term exponents must be nonnegative integers at every n >= 1,
+        # not only at table_n
+        ("family id=1a terms=(t:0,x:0,y:0);(t:n,", "family id=1a terms=(t:0,x:0,y:0);(t:n/2,", 27,
+         "terms=: exponent n/2"),
+        ("family id=1a terms=(t:0,x:0,y:0);(t:n,", "family id=1a terms=(t:0,x:0,y:0);(t:n-10,", 27,
+         "terms=: exponent n-10"),
     ],
     ids=[
         "div-zero", "div-negative", "deep-nesting", "power-cap", "empty-id",
@@ -404,6 +422,7 @@ def test_wrong_polygon_label_rejected(tmp_path):
         "affine-leading-double-sign", "affine-plus-minus", "affine-zero-denominator",
         "exponent-zero-denominator", "rational-zero-denominator", "neff-field",
         "fiber-index-below-one", "fiber-count-below-one", "lambda-slope-off-div",
+        "term-exponent-fractional", "term-exponent-negative",
     ],
 )
 def test_bad_record_rejected_at_its_line(tmp_path, old, new, line, says):

@@ -128,6 +128,18 @@ def test_lambda_syntax_error_exit_code(capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "argv, err",
+    [
+        (["genus", "--poly", "1 + 1 + X^3 + Y^2"], "error: repeated identical monomial\n"),
+        (["lambda", "--poly", "1 + X^3 + Y^2"], "error: need exactly 4 terms, got 3\n"),
+    ],
+)
+def test_four_term_rule_exit_code(argv, err, capsys):
+    assert main(argv) == 2
+    assert capsys.readouterr() == ("", err)
+
+
 def test_lambda_singular_exit_code(capsys):
     assert main(["lambda", "--poly", "1 + X + X^2 + X^3"]) == 3
 

@@ -2,20 +2,27 @@ import pytest
 
 from delsarte import Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from delsarte.errors import InvalidConfigError, RankInconsistencyError
+from delsarte.fibers import KODAIRA_TYPES
 
 
 def test_kodaira_tables():
-    assert (Kodaira("I", 1).euler, Kodaira("I", 1).components) == (1, 1)
-    assert (Kodaira("I", 24).euler, Kodaira("I", 24).components) == (24, 24)
-    assert (Kodaira("I*", 0).euler, Kodaira("I*", 0).components) == (6, 5)
-    assert (Kodaira("II").euler, Kodaira("II").components) == (2, 1)
-    assert (Kodaira("III").euler, Kodaira("III").components) == (3, 2)
-    assert (Kodaira("IV").euler, Kodaira("IV").components) == (4, 3)
-    assert (Kodaira("IV*").euler, Kodaira("IV*").components) == (8, 7)
-    assert (Kodaira("III*").euler, Kodaira("III*").components) == (9, 8)
-    assert (Kodaira("II*").euler, Kodaira("II*").components) == (10, 9)
-    assert str(Kodaira("I*", 0)) == "I0*"
-    assert str(Kodaira("I", 3)) == "I3"
+    # (type, index): (Euler number, components, name), from the standard tables.
+    expected = {
+        ("I", 1): (1, 1, "I1"),
+        ("I", 24): (24, 24, "I24"),
+        ("I*", 0): (6, 5, "I0*"),
+        ("I*", 3): (9, 8, "I3*"),
+        ("II", 0): (2, 1, "II"),
+        ("III", 0): (3, 2, "III"),
+        ("IV", 0): (4, 3, "IV"),
+        ("IV*", 0): (8, 7, "IV*"),
+        ("III*", 0): (9, 8, "III*"),
+        ("II*", 0): (10, 9, "II*"),
+    }
+    assert {family for family, _ in expected} == set(KODAIRA_TYPES)
+    for (family, k), values in expected.items():
+        fiber = Kodaira(family, k)
+        assert (fiber.euler, fiber.components, str(fiber)) == values, fiber
 
 
 def test_kodaira_validation():

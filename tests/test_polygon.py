@@ -10,7 +10,6 @@ from delsarte import (
     integral_equivalence,
     lattice_counts,
     to_default_position,
-    transform_support,
 )
 from delsarte import polygon
 from delsarte.errors import DegenerateSupportError, NotOneInteriorError
@@ -135,43 +134,12 @@ def test_table_class_representatives_have_one_interior():
         assert interior == 1, cls
 
 
-def test_transform_support_reciprocal_substitution():
-    # x -> 1/x, y -> y/x^2 on the support of 1 + t^n x + x^4 + y^2:
-    # (a, b) -> (4 - a - 2b, b), i.e. matrix [[-1,0],[-2,1]] with shift (4,0)
-    umap = UnimodularAffineMap(((-1, 0), (-2, 1)), (4, 0))
-    support = [(0, 0), (1, 0), (4, 0), (0, 2)]
-    assert transform_support(support, umap) == [(4, 0), (3, 0), (0, 0), (0, 2)]
-
-
-def test_transform_support_identity():
-    identity = UnimodularAffineMap(((1, 0), (0, 1)))
-    support = [(0, 0), (1, 1), (3, 0), (0, 2)]
-    assert transform_support(support, identity) == support
-
-
-def test_transform_support_shear():
-    # (x, y) -> (x + y, y) in the row-vector convention
-    shear = UnimodularAffineMap(((1, 0), (1, 1)))
-    image = transform_support(list(W1), shear)
-    assert image == [(0, 0), (3, 0), (2, 2)]
-    assert convex_hull(image) == ((0, 0), (3, 0), (2, 2))
-
-
 def test_genus_of_support():
     # The genus bound of a support is the interior count of its hull,
     # read off as `genus` does; an inner point of the support drops out.
     assert lattice_counts(convex_hull([(0, 0), (3, 0), (0, 2)]))[0] == 1
     assert lattice_counts(convex_hull([(0, 0), (1, 0), (0, 1)]))[0] == 0
     assert lattice_counts(convex_hull([(0, 0), (4, 0), (0, 4), (2, 2)]))[0] == 3
-
-
-def test_map_compose_and_inverse():
-    first = UnimodularAffineMap(((1, 2), (0, 1)), (3, -1))
-    second = UnimodularAffineMap(((0, 1), (1, 0)), (-2, 5))
-    composed = second.compose(first)
-    for point in ((0, 0), (1, 0), (2, 3), (-4, 7)):
-        assert composed.apply(point) == second.apply(first.apply(point))
-        assert first.inverse().apply(first.apply(point)) == point
 
 
 def test_map_rejects_non_unimodular_matrix():
