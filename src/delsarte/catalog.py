@@ -23,205 +23,11 @@ from .errors import CatalogError, DivisibilityError, NonEllipticError
 from .fibers import KODAIRA_TYPES, Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
-from .weierstrass import SparsePoly, WeierstrassData, _wrap, affine_at, affine_text, j_invariant
+from .weierstrass import (SparsePoly, WeierstrassData, affine_at, affine_text, j_invariant,
+                          parse_affine, parse_poly)
 
 DEFAULT_CATALOG = Path(__file__).with_name("data") / "families.cat"
 
-
-# A term dn, dn/d or d of an affine expression, d a run of digits, optional before n.
-_AFFINE_TERM = r"(?:(\d*)n(?:/(\d+))?|(\d+))"
-_AFFINE = re.compile(rf"[+-]?{_AFFINE_TERM}(?:[+-]{_AFFINE_TERM})*")
-_AFFINE_PIECE = re.compile(rf"([+-]?){_AFFINE_TERM}")
-
-
-def parse_affine(text: str) -> tuple:
-    """Parse '0', '12', 'n', '3n', '2n-72', '-72+2n', 'n/3': terms joined by single signs.
-
-    Returns the pair (c, s) for c + s*n, the ring's monomial key. Only a
-    written denominator makes a Fraction.
-    """
-    text = text.replace(" ", "")
-    if not text:
-        raise ValueError("empty affine expression")
-    if _AFFINE.fullmatch(text) is None:
-        raise ValueError(f"bad affine expression {_quote(text)}")
-    const = slope = 0
-    for sign, coeff, den, number in _AFFINE_PIECE.findall(text):
-        if number:
-            const += int(sign + number)
-        elif not den:
-            slope += int(sign + (coeff or "1"))
-        elif int(den):
-            slope += Fraction(int(sign + (coeff or "1")), int(den))
-        else:
-            raise ValueError(f"zero denominator in {_quote(text)}")
-    return const, slope
-
-
-# --- closed-form polynomial expressions -------------------------------------
-
-_TOKEN = re.compile(r"\s*(\d+|[tn^*+\-()/])")
-
-
-def _quote(text: str) -> str:
-    """repr of an expression text, cut to its first 40 characters and "…"."""
-    return repr(text if len(text) <= 40 else text[:40] + "…")
-
-
-def _tokenize(text: str):
-    tokens = []
-    pos = 0
-    while pos < len(text):
-        match = _TOKEN.match(text, pos)
-        if match is None:
-            raise ValueError(f"bad character {text[pos]!r} in {_quote(text)}")
-        tokens.append(match.group(1))
-        pos = match.end()
-    return tokens
-
-
-#: Deepest parenthesis nesting PolyExpr accepts; the parser recurses once per level.
-MAX_NESTING = 32
-#: Largest power PolyExpr accepts (the bundled catalog's largest is 6); it
-#: bounds the products a power costs and the size of its coefficients.
-MAX_POWER = 12
-#: Most monomials any polynomial PolyExpr builds may have, its parts
-#: included (the bundled catalog's most is 7). So a product costs at most
-#: MAX_TERMS times the size of its right factor, parsing stays bounded by
-#: the length of the text, and the identity proof multiplies polynomials
-#: of at most MAX_TERMS monomials.
-MAX_TERMS = 32
-
-
-class PolyExpr:
-    """A closed-form polynomial in t with exponents affine in n, expanded once.
-
-    ``terms`` is the expansion as a SparsePoly, each monomial t^(c+s*n)
-    the pair (c, s); the parser builds it with the ring's own +, - and *.
-    """
-
-    def __init__(self, text: str):
-        self.text = text
-        tokens = _tokenize(text)
-        self._pos = 0
-        self._depth = 0
-        self._tokens = tokens
-        terms = self._expr()
-        if self._pos != len(tokens):
-            raise ValueError(f"trailing input in {_quote(text)}")
-        self.terms = terms
-        del self._pos, self._depth, self._tokens
-
-    def _peek(self):
-        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
-
-    def _take(self, expected=None):
-        tok = self._peek()
-        if tok is None or (expected is not None and tok != expected):
-            raise ValueError(f"expected {expected or 'token'}, got {_quote(tok or '')} in {_quote(self.text)}")
-        self._pos += 1
-        return tok
-
-    def _capped(self, terms):
-        if len(terms) > MAX_TERMS:
-            raise ValueError(f"more than {MAX_TERMS} monomials in {_quote(self.text)}")
-        return terms
-
-    def _expr(self):
-        # A +/- chain is one flat loop, so parsing it needs no recursion per term.
-        result = -self._term() if self._try("-") else self._term()
-        while self._peek() in ("+", "-"):
-            sign = self._take()
-            term = self._term()
-            result = self._capped(result + term if sign == "+" else result - term)
-        return result
-
-    def _term(self):
-        result = self._factor()
-        while self._try("*"):
-            result = self._capped(result * self._factor())
-        return result
-
-    def _factor(self):
-        base = self._base()
-        if not self._try("^"):
-            return base
-        power = self._take()
-        if not power.isdigit():
-            raise ValueError(f"non-integer power in {_quote(self.text)}")
-        if int(power) > MAX_POWER:
-            raise ValueError(f"power {_quote(power)} above the cap of {MAX_POWER} in {_quote(self.text)}")
-        # One factor at a time, so the cap bounds every intermediate product.
-        result = _wrap({(0, 0): 1})
-        for _ in range(int(power)):
-            result = self._capped(result * base)
-        return result
-
-    def _base(self):
-        tok = self._peek()
-        if tok == "(":
-            self._take()
-            self._depth += 1
-            if self._depth > MAX_NESTING:
-                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} in {_quote(self.text)}")
-            terms = self._expr()
-            self._take(")")
-            self._depth -= 1
-            return terms
-        if tok == "t":
-            self._take()
-            return _wrap({self._exponent(): 1})
-        if tok is not None and tok.isdigit():
-            self._take()
-            value = int(tok)
-            if self._try("/"):
-                den = self._take()
-                if not den.isdigit():
-                    raise ValueError(f"bad rational in {_quote(self.text)}")
-                if not int(den):
-                    raise ValueError(f"zero denominator in {_quote(self.text)}")
-                value = Fraction(value, int(den))
-            return _wrap({(0, 0): value})
-        raise ValueError(f"unexpected token {tok!r} in {_quote(self.text)}")
-
-    def _exponent(self):
-        # t without ^ means exponent 1
-        if not self._try("^"):
-            return 1, 0
-        if self._try("("):
-            parts = []
-            while self._peek() != ")":
-                if self._peek() is None:
-                    raise ValueError(f"unbalanced exponent in {_quote(self.text)}")
-                parts.append(self._take())
-            self._take(")")
-            return parse_affine("".join(parts))
-        # the bare forms t^n, t^3n and t^12
-        text = self._take()
-        if text.isdigit() and self._try("n"):
-            text += "n"
-        elif text != "n" and not text.isdigit():
-            raise ValueError(f"bad exponent in {_quote(self.text)}")
-        return parse_affine(text)
-
-    def _try(self, token):
-        if self._peek() == token:
-            self._pos += 1
-            return True
-        return False
-
-    def evaluate(self, n: int) -> SparsePoly:
-        """The polynomial at parameter n, each monomial (c, s) becoming t^(c+s*n)."""
-        try:
-            return self.terms.evaluate(n)
-        except ValueError as exc:
-            raise ValueError(f"exponent {exc} in {_quote(self.text)}") from None
-
-    def __repr__(self):
-        return f"PolyExpr({self.text!r})"
-
-
-# --- catalog records ---------------------------------------------------------
 
 class FamilyRow(NamedTuple):
     """One table row: a four-term family with its rank data and mapping."""
@@ -242,11 +48,11 @@ class Representative(NamedTuple):
     divisibility: int
     lambda_formula: tuple  # (c, s) for c + s*n
     fibers: tuple  # ((family, index (c, s) | None, count (c, s)), ...)
-    a: PolyExpr
-    b: PolyExpr
-    delta: PolyExpr
-    j_num: PolyExpr
-    j_den: PolyExpr
+    a: SparsePoly  # each monomial (c, s) is t^(c+s*n)
+    b: SparsePoly
+    delta: SparsePoly
+    j_num: SparsePoly
+    j_den: SparsePoly
 
 
 class RankReport(NamedTuple):
@@ -404,11 +210,11 @@ class Catalog:
         if rep.id not in self._identity_cache:
             try:
                 # j_den is 4a^3 + 27b^2, which is -delta/16.
-                j_num, j_den = j_invariant(WeierstrassData(rep.a.terms, rep.b.terms))
+                j_num, j_den = j_invariant(WeierstrassData(rep.a, rep.b))
             except NonEllipticError:
                 raise NonEllipticError(f"representative {rep.id}: the discriminant vanishes") from None
-            self._identity_cache[rep.id] = rep.delta.terms == -16 * j_den and (
-                rep.j_num.terms * j_den == j_num * rep.j_den.terms
+            self._identity_cache[rep.id] = (
+                rep.delta == -16 * j_den and rep.j_num * j_den == j_num * rep.j_den
             )
         return self._identity_cache[rep.id]
 
@@ -520,20 +326,20 @@ def _parse_record(kind, fields, line_no):
             divisibility=divisibility,
             lambda_formula=parse_affine(need("lambda")),
             fibers=_parse_fibers(need("fibers")),
-            a=PolyExpr(need("a")),
-            b=PolyExpr(need("b")),
-            delta=PolyExpr(need("delta")),
-            j_num=PolyExpr(need("jnum")),
-            j_den=PolyExpr(need("jden")),
+            a=parse_poly(need("a")),
+            b=parse_poly(need("b")),
+            delta=parse_poly(need("delta")),
+            j_num=parse_poly(need("jnum")),
+            j_den=parse_poly(need("jden")),
         )
         _check_affine("lambda=:", rep.lambda_formula, divisibility)
         for family, index, count in rep.fibers:
             if index is not None:
                 _check_affine(f"fibers=: {family} index", index, divisibility, KODAIRA_TYPES[family][2])
             _check_affine(f"fibers=: {family} count", count, divisibility, 1)
-        for key, expr in (("a", rep.a), ("b", rep.b), ("delta", rep.delta),
+        for key, poly in (("a", rep.a), ("b", rep.b), ("delta", rep.delta),
                           ("jnum", rep.j_num), ("jden", rep.j_den)):
-            for mono, _ in expr.terms.items():
+            for mono, _ in poly.items():
                 _check_affine(f"{key}=: exponent", mono, divisibility, 0)
         return rep
     except CatalogError:

@@ -138,7 +138,7 @@ def _emit(args, payload, lines):
 
 
 def _terms_for(args, catalog):
-    if getattr(args, "poly", None):
+    if getattr(args, "poly", None) is not None:
         return parse_polynomial(args.poly)
     if args.n is None:
         raise ValueError("--family requires --n")
@@ -465,7 +465,9 @@ def main(argv=None) -> int:
     try:
         return args.func(args, catalog)
     except (DelsarteError, KeyError, ValueError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
+        # str() of a KeyError is the repr of its message, quotes and all.
+        message = exc.args[0] if isinstance(exc, KeyError) and exc.args else exc
+        print(f"error: {message}", file=sys.stderr)
         return getattr(exc, "exit_code", EXIT_INVALID)
 
 

@@ -1,12 +1,12 @@
 """Independent brute-force validators.
 
 Everything here deliberately uses the naive formulation — generators
-from a Fraction Gauss-Jordan inverse, full product enumeration of the
-character group, breadth-first closure of its generators, full
-multiplier scans of every element, bounding-box scans for lattice
-points, an exhaustive subset scan for the polygon census, trial-division
-primes — so a bug shared with the optimized paths is implausible. Slow
-by design; used by the test suite and `delsarte verify`.
+from a Fraction Gauss-Jordan inverse, breadth-first closure of the
+character group's generators, full multiplier scans of every element,
+bounding-box scans for lattice points, an exhaustive subset scan for the
+polygon census, trial-division primes — so a bug shared with the
+optimized paths is implausible. Slow by design; used by the test suite
+and `delsarte verify`.
 """
 
 from __future__ import annotations
@@ -94,30 +94,19 @@ def _numerators(generators):
 
 
 def brute_lambda(matrix: ExponentMatrix) -> int:
-    """Lefschetz number by exhaustive product enumeration and a full scan.
+    """Lefschetz number by breadth-first closure and a full scan.
 
-    Adds every multiple of each Gauss-Jordan generator in turn to the
-    set of cells built so far, so the set ends as the whole group L, and
-    counts its admissible members with scan_lambda. Raises
-    GroupTooLargeError when |det A| / d exceeds MAX_GROUP_ORDER, before
-    anything is enumerated.
+    Closes the Gauss-Jordan generators of L with closure_cells and counts
+    its admissible members with scan_lambda. Raises GroupTooLargeError
+    when |det A| / d exceeds MAX_GROUP_ORDER, before anything is
+    enumerated.
     """
     predicted = group_order(matrix)
     if predicted > MAX_GROUP_ORDER:
         raise GroupTooLargeError(
             f"character group has {predicted} elements, above the cap of {MAX_GROUP_ORDER}"
         )
-    gen_cells, modulus = _numerators(gauss_jordan_generators(matrix))
-    cells = {(0, 0, 0, 0)}
-    for gen in gen_cells:
-        order = modulus // gcd(modulus, *gen)
-        multiples = [tuple((j * g) % modulus for g in gen) for j in range(order)]
-        cells = {
-            tuple((c + m) % modulus for c, m in zip(cell, multiple))
-            for cell in cells
-            for multiple in multiples
-        }
-    return scan_lambda(cells, modulus)
+    return scan_lambda(*closure_cells(gauss_jordan_generators(matrix)))
 
 
 def closure_cells(generators):

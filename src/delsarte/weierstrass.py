@@ -9,15 +9,18 @@ the validating constructor, so integral arithmetic stays in int.
 
 The same pair is the catalog's one encoding of a value affine in n: term
 exponents, the closed form of lambda, fiber indices and counts.
-``affine_at`` is its only evaluator and ``affine_text`` its only printer.
+``parse_affine`` is its only parser, ``affine_at`` its only evaluator and
+``affine_text`` its only printer. ``parse_poly`` reads a catalog
+polynomial into the ring.
 
-Curves are y^2 = x^3 + a x + b; the discriminant is -16(4a^3 + 27b^2)
-and j is kept as the unreduced pair (1728 * 4a^3, 4a^3 + 27b^2), so
-comparisons cross-multiply instead of needing polynomial gcds.
+Curves are y^2 = x^3 + a x + b; j is kept as an unreduced pair whose
+denominator is -1/16 of the discriminant, so comparisons cross-multiply
+instead of needing polynomial gcds.
 """
 
 from __future__ import annotations
 
+import re
 from fractions import Fraction
 from typing import NamedTuple
 
@@ -45,6 +48,41 @@ def affine_text(pair) -> str:
         sign = "-" if c < 0 else ("+" if parts else "")
         parts.append(f"{sign}{abs(c)}")
     return "".join(parts)
+
+
+def _quote(text: str) -> str:
+    """repr of an expression text, cut to its first 40 characters and "…"."""
+    return repr(text if len(text) <= 40 else text[:40] + "…")
+
+
+# A term dn, dn/d or d of an affine expression, d a run of digits, optional before n.
+_AFFINE_TERM = r"(?:(\d*)n(?:/(\d+))?|(\d+))"
+_AFFINE = re.compile(rf"[+-]?{_AFFINE_TERM}(?:[+-]{_AFFINE_TERM})*")
+_AFFINE_PIECE = re.compile(rf"([+-]?){_AFFINE_TERM}")
+
+
+def parse_affine(text: str) -> tuple:
+    """Parse '0', '12', 'n', '3n', '2n-72', '-72+2n', 'n/3': terms joined by single signs.
+
+    Returns the pair (c, s) for c + s*n, the ring's monomial key. Only a
+    written denominator makes a Fraction.
+    """
+    text = text.replace(" ", "")
+    if not text:
+        raise ValueError("empty affine expression")
+    if _AFFINE.fullmatch(text) is None:
+        raise ValueError(f"bad affine expression {_quote(text)}")
+    const = slope = 0
+    for sign, coeff, den, number in _AFFINE_PIECE.findall(text):
+        if number:
+            const += int(sign + number)
+        elif not den:
+            slope += int(sign + (coeff or "1"))
+        elif int(den):
+            slope += Fraction(int(sign + (coeff or "1")), int(den))
+        else:
+            raise ValueError(f"zero denominator in {_quote(text)}")
+    return const, slope
 
 
 def _trimmed(data) -> dict:
@@ -183,6 +221,160 @@ class SparsePoly:
         return f"SparsePoly({' + '.join(parts)})"
 
 
+# --- catalog polynomials ----------------------------------------------------
+
+_TOKEN = re.compile(r"\s*(\d+|[tn^*+\-()/])")
+
+
+def _tokenize(text: str):
+    tokens = []
+    pos = 0
+    while pos < len(text):
+        match = _TOKEN.match(text, pos)
+        if match is None:
+            raise ValueError(f"bad character {text[pos]!r} in {_quote(text)}")
+        tokens.append(match.group(1))
+        pos = match.end()
+    return tokens
+
+
+#: Deepest parenthesis nesting parse_poly accepts; it recurses once per level.
+MAX_NESTING = 32
+#: Largest power parse_poly accepts (the bundled catalog's largest is 6); it
+#: bounds the products a power costs and the size of its coefficients.
+MAX_POWER = 12
+#: Most monomials any polynomial parse_poly builds may have, its parts
+#: included (the bundled catalog's most is 7). So a product costs at most
+#: MAX_TERMS times the size of its right factor, parsing stays bounded by
+#: the length of the text, and the identity proof multiplies polynomials
+#: of at most MAX_TERMS monomials.
+MAX_TERMS = 32
+
+
+def parse_poly(text: str) -> SparsePoly:
+    """A catalog polynomial in t with exponents affine in n, expanded once.
+
+    Each monomial t^(c+s*n) of the result is the pair (c, s). Raises
+    ValueError, naming the text, on bad syntax and past MAX_NESTING,
+    MAX_POWER or MAX_TERMS.
+    """
+    return _PolyParser(text).parse()
+
+
+class _PolyParser:
+    """Recursive descent over one polynomial text; builds the expansion with the ring's +, - and *."""
+
+    def __init__(self, text: str):
+        self.text = text
+        self._tokens = _tokenize(text)
+        self._pos = 0
+        self._depth = 0
+
+    def parse(self) -> SparsePoly:
+        terms = self._expr()
+        if self._pos != len(self._tokens):
+            raise ValueError(f"trailing input in {_quote(self.text)}")
+        return terms
+
+    def _peek(self):
+        return self._tokens[self._pos] if self._pos < len(self._tokens) else None
+
+    def _take(self, expected=None):
+        tok = self._peek()
+        if tok is None or (expected is not None and tok != expected):
+            raise ValueError(f"expected {expected or 'token'}, got {_quote(tok or '')} in {_quote(self.text)}")
+        self._pos += 1
+        return tok
+
+    def _capped(self, terms):
+        if len(terms) > MAX_TERMS:
+            raise ValueError(f"more than {MAX_TERMS} monomials in {_quote(self.text)}")
+        return terms
+
+    def _expr(self):
+        # A +/- chain is one flat loop, so parsing it needs no recursion per term.
+        result = -self._term() if self._try("-") else self._term()
+        while self._peek() in ("+", "-"):
+            sign = self._take()
+            term = self._term()
+            result = self._capped(result + term if sign == "+" else result - term)
+        return result
+
+    def _term(self):
+        result = self._factor()
+        while self._try("*"):
+            result = self._capped(result * self._factor())
+        return result
+
+    def _factor(self):
+        base = self._base()
+        if not self._try("^"):
+            return base
+        power = self._take()
+        if not power.isdigit():
+            raise ValueError(f"non-integer power in {_quote(self.text)}")
+        if int(power) > MAX_POWER:
+            raise ValueError(f"power {_quote(power)} above the cap of {MAX_POWER} in {_quote(self.text)}")
+        # One factor at a time, so the cap bounds every intermediate product.
+        result = _wrap({(0, 0): 1})
+        for _ in range(int(power)):
+            result = self._capped(result * base)
+        return result
+
+    def _base(self):
+        tok = self._peek()
+        if tok == "(":
+            self._take()
+            self._depth += 1
+            if self._depth > MAX_NESTING:
+                raise ValueError(f"parentheses nested deeper than {MAX_NESTING} in {_quote(self.text)}")
+            terms = self._expr()
+            self._take(")")
+            self._depth -= 1
+            return terms
+        if tok == "t":
+            self._take()
+            return _wrap({self._exponent(): 1})
+        if tok is not None and tok.isdigit():
+            self._take()
+            value = int(tok)
+            if self._try("/"):
+                den = self._take()
+                if not den.isdigit():
+                    raise ValueError(f"bad rational in {_quote(self.text)}")
+                if not int(den):
+                    raise ValueError(f"zero denominator in {_quote(self.text)}")
+                value = Fraction(value, int(den))
+            return _wrap({(0, 0): value})
+        raise ValueError(f"unexpected token {tok!r} in {_quote(self.text)}")
+
+    def _exponent(self):
+        # t without ^ means exponent 1
+        if not self._try("^"):
+            return 1, 0
+        if self._try("("):
+            parts = []
+            while self._peek() != ")":
+                if self._peek() is None:
+                    raise ValueError(f"unbalanced exponent in {_quote(self.text)}")
+                parts.append(self._take())
+            self._take(")")
+            return parse_affine("".join(parts))
+        # the bare forms t^n, t^3n and t^12
+        text = self._take()
+        if text.isdigit() and self._try("n"):
+            text += "n"
+        elif text != "n" and not text.isdigit():
+            raise ValueError(f"bad exponent in {_quote(self.text)}")
+        return parse_affine(text)
+
+    def _try(self, token):
+        if self._peek() == token:
+            self._pos += 1
+            return True
+        return False
+
+
 class WeierstrassData(NamedTuple):
     """Coefficients of y^2 = x^3 + a x + b over k[t] (or k[t, t^n])."""
 
@@ -191,11 +383,8 @@ class WeierstrassData(NamedTuple):
 
 
 def discriminant(curve: WeierstrassData) -> SparsePoly:
-    """Discriminant -16(4a^3 + 27b^2); zero raises NonEllipticError."""
-    delta = -16 * (4 * curve.a ** 3 + 27 * curve.b ** 2)
-    if delta.is_zero:
-        raise NonEllipticError("discriminant vanishes identically")
-    return delta
+    """Discriminant, -16 times the denominator of j_invariant; zero raises NonEllipticError."""
+    return -16 * j_invariant(curve)[1]
 
 
 def j_invariant(curve: WeierstrassData):

@@ -126,6 +126,10 @@ def test_lambda_poly_json_roundtrip(capsys):
 def test_lambda_syntax_error_exit_code(capsys):
     assert main(["lambda", "--poly", "1 + q + X^3 + Y^2"]) == 2
     assert "error" in capsys.readouterr().err
+    # An empty --poly is a polynomial to parse, not a missing --family.
+    assert main(["lambda", "--poly", ""]) == 2
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == ("", "error: empty polynomial (at position 0)\n")
 
 
 @pytest.mark.parametrize(
@@ -344,6 +348,9 @@ def test_error_classes_carry_their_exit_codes():
 
 def test_unknown_family_exit_code(capsys):
     assert main(["rank", "--family", "zz", "--n", "6"]) == 2
+    assert capsys.readouterr().err == "error: unknown family id 'zz'\n"
+    assert main(["rank", "--rep", "zz", "--n", "6"]) == 2
+    assert capsys.readouterr().err == "error: unknown representative id 'zz'\n"
 
 
 def test_rank_reports_failed_check(tmp_path, capsys):

@@ -145,15 +145,13 @@ def test_lefschetz_matches_full_scan_of_closure():
 
 
 def test_lefschetz_matches_brute_lambda_on_larger_exponents():
-    # Exponents < 12 give groups of up to ~1000 elements; brute_lambda costs
-    # |L| times the generator orders, so groups above 100 elements are drawn
-    # and passed over to keep the test near 2 s.
+    # Exponents < 12 give groups of up to ~1000 elements. brute_lambda
+    # closes and scans each of them in milliseconds, so every group drawn
+    # is checked, the large ones included.
     rng = random.Random(53)
     checked = admissible = 0
     while checked < 300:
         matrix = random_matrix(rng, max_exp=11)
-        if group_order(matrix) > 100:
-            continue
         lam = lefschetz_number(matrix)
         assert brute_lambda(matrix) == lam, matrix.rows
         checked += 1
