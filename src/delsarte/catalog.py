@@ -179,22 +179,35 @@ class Catalog:
             )
         return row.rep, int(rep_n)
 
-    def fibers_at(self, rep_id: str, n: int):
+    def _checked_parameter(self, rep_id: str, n: int):
+        """(representative, n as an int); raises DivisibilityError unless div | n."""
         rep = self.representative(rep_id)
+        if n != int(n):
+            raise ValueError(f"n = {n} is not an integer")
+        n = int(n)
+        if n < 1 or n % rep.divisibility:
+            raise DivisibilityError(
+                f"representative {rep.id} requires {rep.divisibility} | n; got n = {n}"
+            )
+        return rep, n
+
+    def fibers_at(self, rep_id: str, n: int):
+        rep, n = self._checked_parameter(rep_id, n)
         return tuple(
             (Kodaira(family, affine_at(index, n) if index is not None else 0), affine_at(count, n))
             for family, index, count in rep.fibers
         )
 
     def weierstrass_at(self, rep_id: str, n: int) -> WeierstrassData:
-        rep = self.representative(rep_id)
+        rep, n = self._checked_parameter(rep_id, n)
         return WeierstrassData(rep.a.evaluate(n), rep.b.evaluate(n))
 
     def delta_at(self, rep_id: str, n: int) -> SparsePoly:
-        return self.representative(rep_id).delta.evaluate(n)
+        rep, n = self._checked_parameter(rep_id, n)
+        return rep.delta.evaluate(n)
 
     def j_at(self, rep_id: str, n: int):
-        rep = self.representative(rep_id)
+        rep, n = self._checked_parameter(rep_id, n)
         return rep.j_num.evaluate(n), rep.j_den.evaluate(n)
 
     def _identities_hold(self, rep: Representative) -> bool:
@@ -220,14 +233,7 @@ class Catalog:
 
     def representative_rank(self, rep_id: str, n: int) -> RankReport:
         """Full pipeline for a representative; requires divisibility | n."""
-        rep = self.representative(rep_id)
-        if n != int(n):
-            raise ValueError(f"n = {n} is not an integer")
-        n = int(n)
-        if n < 1 or n % rep.divisibility:
-            raise DivisibilityError(
-                f"representative {rep.id} requires {rep.divisibility} | n; got n = {n}"
-            )
+        rep, n = self._checked_parameter(rep_id, n)
         key = (rep_id, n)
         if key not in self._rank_cache:
             matrix = homogenize(self.family_terms(rep.id, n))

@@ -19,6 +19,16 @@ checks the product of the basis orders against |det A| / d, reads one
 representative per Galois orbit of each L_p off its basis, and tests
 one character per Galois orbit of L, since admissibility is constant on
 orbits and the orbits of L are the products of the orbits of the L_p.
+
+Each orbit representative is tested at most once per process while the
+cache holds it. The admissibility test is memoized (an LRU cache of 4096
+entries) on the character written over its exact order, cell/m with
+cell in [0, m)^4, which is canonical: the same character met in another
+group has the same key and is not tested again. The bundled families'
+group at n lies in their group at 2n, and the two normal forms mostly
+pick the same representative for an orbit, so a sweep over n = div*k,
+k = 1, 2, 4, 8, 16 asks 1590 times about 434 distinct keys, which cover
+431 orbits.
 """
 
 from __future__ import annotations
@@ -244,6 +254,7 @@ def _orbit_normal_forms(basis, q, p):
     return representatives
 
 
+@lru_cache(maxsize=1 << 12)
 def _admissible(cell, m) -> bool:
     """Admissibility of the character cell/m of order m.
 
@@ -258,6 +269,10 @@ def _admissible(cell, m) -> bool:
     lifts at m - t sum to 4 minus the lifts at t: one sum is 2 exactly
     when the other is. For m > 2 the units pair off as t and m - t with
     exactly one of each pair at most m // 2; for m = 2 the only unit is 1.
+
+    Memoized: lefschetz_number passes each character over its exact
+    order, the canonical key, so a character tested for one group is not
+    tested again for another.
     """
     if 0 in cell:
         return False
@@ -294,14 +309,23 @@ def lefschetz_number(matrix: ExponentMatrix) -> int:
     power q = p^k exactly dividing M, the generators mod q row-reduce to
     a basis of the p-part L_p, and prod |L_p| (the product of the basis
     orders) is checked against group_order(matrix). One representative
-    per Galois orbit of each L_p is read off the basis. By the CRT,
-    (Z/M)^* = prod (Z/q)^* and L = sum L_p, so each Galois orbit
-    {t x : gcd(t, M) = 1} of L is a product of orbits of the L_p, with
-    representative x = sum (M/q) r_p, order prod ord r_p and
-    prod phi(ord r_p) members. Admissibility is constant on an orbit
-    (Shioda 1986), so each x is tested once, and skipped outright when a
+    r_p per Galois orbit of each L_p is read off the basis, as a cell over
+    its own order. By the CRT, (Z/M)^* = prod (Z/q)^* and L = sum L_p, so
+    each Galois orbit {t x : gcd(t, M) = 1} of L is a product of orbits of
+    the L_p, with representative x = sum r_p, order prod ord r_p and
+    prod phi(ord r_p) members. Products are combined over their orders,
+    x/m + y/o = (x*o + y*m)/(m*o), so the cell of x over its order is a
+    reduction mod that order. Admissibility is constant on an orbit
+    (Shioda 1986), so each x is tested once, and built only when no
     coordinate is zero: the zero coordinates of x are those zero in every
-    r_p, so the zero masks of its factors share a bit.
+    r_p, so the zero masks of its factors share a bit. The p-parts are
+    combined smallest first, and the products with the last one are built
+    only for the factors whose masks share no bit.
+
+    The test itself is memoized on (cell, order), the canonical form of
+    the character, so a representative already tested in this process,
+    at this n or another, is not tested again while the bounded cache
+    (4096 entries) holds it.
 
     Raises GroupTooLargeError when |L| exceeds MAX_GROUP_ORDER, and
     GroupOrderError when prod |L_p| differs from group_order(matrix).
@@ -313,35 +337,47 @@ def lefschetz_number(matrix: ExponentMatrix) -> int:
         )
     gen_cells, modulus = _generator_cells(matrix)
     enumerated = 1
-    # Products of orbit representatives so far: (x, order, orbit size, zero mask).
-    products = [((0, 0, 0, 0), 1, 1, 0b1111)]
+    # One list per p-part: (cell over its order, order, orbit size, zero mask).
+    parts = []
     for q, p in _prime_powers(modulus):
         basis = _basis(gen_cells, q)
         for _, order in basis:
             enumerated *= order
-        scale = modulus // q
-        part = [
-            ((scale * c0, scale * c1, scale * c2, scale * c3), order, size,
-             (c0 == 0) | (c1 == 0) << 1 | (c2 == 0) << 2 | (c3 == 0) << 3)
+        # Each representative over its own order: its cell over q is a
+        # multiple of q / order.
+        parts.append([
+            ((c0 // (q // order), c1 // (q // order), c2 // (q // order), c3 // (q // order)),
+             order, size, (c0 == 0) | (c1 == 0) << 1 | (c2 == 0) << 2 | (c3 == 0) << 3)
             for (c0, c1, c2, c3), order, size in _orbit_normal_forms(basis, q, p)
-        ]
-        products = [
-            ((x0 + y0, x1 + y1, x2 + y2, x3 + y3), m * order, members * size, mask & bits)
-            for (x0, x1, x2, x3), m, members, mask in products
-            for (y0, y1, y2, y3), order, size, bits in part
-        ]
+        ])
     if enumerated != predicted:
         raise GroupOrderError(
             f"enumerated {enumerated} characters, but |det A| / d = {predicted}"
         )
+    if not parts:  # M = 1: L is trivial
+        return 0
+    parts.sort(key=len)
+    # Products of all p-parts but the last, each cell over its own order m:
+    # x/m + y/o = (x*o + y*m) / (m*o), and m*o is the order since gcd(m, o) = 1.
+    products = [((0, 0, 0, 0), 1, 1, 0b1111)]
+    for part in parts[:-1]:
+        products = [
+            ((x0 * o + y0 * m, x1 * o + y1 * m, x2 * o + y2 * m, x3 * o + y3 * m),
+             m * o, members * size, mask & bits)
+            for (x0, x1, x2, x3), m, members, mask in products
+            for (y0, y1, y2, y3), o, size, bits in part
+        ]
+    # The last p-part completes each product; only those with no zero
+    # coordinate (an empty zero mask) are built and tested.
+    last = parts[-1]
     count = 0
-    for (x0, x1, x2, x3), m, size, mask in products:
-        if mask:
-            continue
-        # x has order m, so its coordinates are multiples of modulus/m.
-        scale = modulus // m
-        cell = ((x0 % modulus) // scale, (x1 % modulus) // scale,
-                (x2 % modulus) // scale, (x3 % modulus) // scale)
-        if _admissible(cell, m):
-            count += size
+    for (x0, x1, x2, x3), m, members, mask in products:
+        for (y0, y1, y2, y3), o, size, bits in last:
+            if mask & bits:
+                continue
+            order = m * o
+            cell = ((x0 * o + y0 * m) % order, (x1 * o + y1 * m) % order,
+                    (x2 * o + y2 * m) % order, (x3 * o + y3 * m) % order)
+            if _admissible(cell, order):
+                count += members * size
     return count

@@ -172,6 +172,19 @@ def test_representative_rank_divisibility(catalog):
         catalog.representative_rank("1d", 0)
 
 
+def test_per_n_accessors_check_divisibility(catalog):
+    # Every representative's div is above 1 and none is 7, so n = 7 is
+    # refused by each per-n accessor, exit 3, naming the representative.
+    accessors = (catalog.weierstrass_at, catalog.delta_at, catalog.j_at, catalog.fibers_at,
+                 catalog.representative_rank)
+    for rep_id, rep in catalog.representatives.items():
+        message = rf"^representative {rep_id} requires {rep.divisibility} \| n; got n = 7$"
+        for accessor in accessors:
+            with pytest.raises(DivisibilityError, match=message) as caught:
+                accessor(rep_id, 7)
+            assert caught.value.exit_code == 3
+
+
 def test_representative_rank_rejects_non_integral_n(catalog):
     with pytest.raises(ValueError, match="360.5 is not an integer"):
         catalog.representative_rank("1a", 360.5)

@@ -1,5 +1,6 @@
 import random
 from fractions import Fraction
+from math import gcd
 
 import pytest
 
@@ -236,6 +237,83 @@ def test_lefschetz_checks_enumerated_order(monkeypatch):
     monkeypatch.setattr(lattice, "group_order", lambda m: true_order + 1)
     with pytest.raises(GroupOrderError):
         lefschetz_number(matrix)
+
+
+def test_lefschetz_checks_basis_orders(monkeypatch):
+    # A p-part basis that lost a vector no longer multiplies out to |L|.
+    matrix = homogenize(TERMS_1D_60)
+    basis = lattice._basis
+    lefschetz_number.cache_clear()
+    monkeypatch.setattr(lattice, "_basis", lambda cells, q: basis(cells, q)[:-1])
+    with pytest.raises(GroupOrderError, match=r"^enumerated \d+ characters, but \|det A\| / d = 360$"):
+        lefschetz_number(matrix)
+
+
+def test_lefschetz_does_not_depend_on_the_memos(catalog):
+    # A sweep over n = div*k, k = 1..16, in shuffled order with both caches
+    # warming up, against each key with both caches cleared first.
+    keys = [
+        (rep_id, rep.divisibility * k)
+        for rep_id, rep in catalog.representatives.items()
+        for k in range(1, 17)
+    ]
+    random.Random(25).shuffle(keys)
+    lefschetz_number.cache_clear()
+    _admissible.cache_clear()
+    warm = {key: lefschetz_number(homogenize(catalog.family_terms(*key))) for key in keys}
+    assert _admissible.cache_info().hits > 0
+    for rep_id, n in keys:
+        lefschetz_number.cache_clear()
+        _admissible.cache_clear()
+        cold = lefschetz_number(homogenize(catalog.family_terms(rep_id, n)))
+        closed = affine_at(catalog.representative(rep_id).lambda_formula, n)
+        assert warm[rep_id, n] == cold == closed, (rep_id, n)
+
+
+def test_admissible_is_asked_once_per_orbit_over_its_exact_order(catalog, monkeypatch):
+    # The memo key is canonical only if each character comes reduced over
+    # its exact order m (gcd(m, cell) = 1); one group asks once per orbit.
+    asked = []
+
+    def spy(cell, m):
+        asked.append((cell, m))
+        return _admissible(cell, m)
+
+    monkeypatch.setattr(lattice, "_admissible", spy)
+    for rep_id, rep in catalog.representatives.items():
+        for k in (1, 2, 4):
+            asked.clear()
+            lefschetz_number.cache_clear()
+            lefschetz_number(homogenize(catalog.family_terms(rep_id, rep.divisibility * k)))
+            assert asked and len(set(asked)) == len(asked), rep_id
+            for cell, m in asked:
+                assert all(0 < c < m for c in cell) and gcd(m, *cell) == 1, (rep_id, cell, m)
+
+
+def test_admissible_matches_scan_oracle_on_mixed_orders():
+    # Random characters over a modulus M whose coordinates have different
+    # orders: the oracle scans them over M, the fast test over their exact
+    # order, asked twice so the second answer comes from the memo.
+    from delsarte.oracles import _scan_admissible
+
+    rng = random.Random(2510)
+    admissible = 0
+    for _ in range(1500):
+        modulus = rng.choice((2, 3, 4, 5, 6, 8, 9, 12, 16, 20, 24, 30, 36, 60, 72, 120, 360))
+        divisors = [d for d in range(1, modulus + 1) if modulus % d == 0]
+        # Each coordinate u/d with d a random divisor of M, written over M.
+        cell = []
+        for _ in range(4):
+            d = rng.choice(divisors)
+            cell.append(modulus // d * rng.randrange(d))
+        if rng.random() < 0.2:
+            cell[rng.randrange(4)] = 0
+        m = modulus // gcd(modulus, *cell)
+        reduced = tuple(c * m // modulus for c in cell)
+        want = _scan_admissible(*cell, modulus)
+        assert _admissible(reduced, m) == _admissible(reduced, m) == want, (cell, modulus)
+        admissible += want
+    assert 0 < admissible < 1500
 
 
 def test_lefschetz_matches_closed_forms_at_large_n(catalog):
