@@ -180,12 +180,14 @@ class Catalog:
         return row.rep, int(rep_n)
 
     def _checked_parameter(self, rep_id: str, n: int):
-        """(representative, n as an int); raises DivisibilityError unless div | n."""
+        """(representative, n as an int); raises DivisibilityError unless n >= 1 and div | n."""
         rep = self.representative(rep_id)
         if n != int(n):
             raise ValueError(f"n = {n} is not an integer")
         n = int(n)
-        if n < 1 or n % rep.divisibility:
+        if n < 1:
+            raise DivisibilityError(f"representative {rep.id} needs n >= 1; got n = {n}")
+        if n % rep.divisibility:
             raise DivisibilityError(
                 f"representative {rep.id} requires {rep.divisibility} | n; got n = {n}"
             )
@@ -205,10 +207,6 @@ class Catalog:
     def delta_at(self, rep_id: str, n: int) -> SparsePoly:
         rep, n = self._checked_parameter(rep_id, n)
         return rep.delta.evaluate(n)
-
-    def j_at(self, rep_id: str, n: int):
-        rep, n = self._checked_parameter(rep_id, n)
-        return rep.j_num.evaluate(n), rep.j_den.evaluate(n)
 
     def _identities_hold(self, rep: Representative) -> bool:
         """Whether the catalog delta and j follow from a and b at every valid n.

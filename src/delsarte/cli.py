@@ -7,6 +7,11 @@ with the exit_code its class in errors.py carries (2 invalid input,
 ValueError with 2. Machine output via --json is byte-stable for fixed
 inputs. Only census and verify import the brute-force oracles, so the
 other commands do not pay for them at start-up.
+
+verify runs the suites lambda (brute-force closure and scan against
+lefschetz_number), polygon (the census against the literal class table,
+lattice_counts against a box scan) and delta (the catalog's delta and j
+evaluated at rational points against its a and b), or all three.
 """
 
 from __future__ import annotations
@@ -14,13 +19,13 @@ from __future__ import annotations
 import argparse
 import json
 import sys
+from fractions import Fraction
 from itertools import chain
 
 from .catalog import load_catalog
 from .errors import DelsarteError, GroupTooLargeError, PolynomialSyntaxError, SingularMatrixError
 from .lattice import group_order, homogenize, lefschetz_number, validate_terms
 from .polygon import classify_one_interior, convex_hull, integral_equivalence, lattice_counts
-from .weierstrass import discriminant, j_invariant
 
 EXIT_OK = 0
 EXIT_INVALID = 2
@@ -357,28 +362,24 @@ def _verify_polygon(cat, bound):
     return results
 
 
-def _verify_lemma():
-    from . import oracles
-    hits = oracles.prime_gap_scan(200)
-    return [("prime gaps up to 200", hits == [6, 12, 30], f"got {hits}")]
+#: The rational points t at which the delta suite evaluates each representative.
+DELTA_SUITE_POINTS = (2, 3, Fraction(1, 2), -5)
 
 
 def _verify_delta(cat):
+    """The catalog's delta and j against its a and b at n = div, 2 div and DELTA_SUITE_POINTS.
+
+    Point evaluation in Fraction arithmetic (oracles.identities_at), so
+    the suite shares only the catalog parse with the identity proof of
+    the rank path. The detail names the first failing (n, t).
+    """
+    from . import oracles
     results = []
     for rep_id, rep in cat.representatives.items():
-        ok = True
-        detail = ""
-        for n in (rep.divisibility, 2 * rep.divisibility):
-            curve = cat.weierstrass_at(rep_id, n)
-            if discriminant(curve) != cat.delta_at(rep_id, n):
-                ok, detail = False, f"delta mismatch at n={n}"
-                break
-            j_num, j_den = j_invariant(curve)
-            cat_num, cat_den = cat.j_at(rep_id, n)
-            if j_num * cat_den != cat_num * j_den:
-                ok, detail = False, f"j mismatch at n={n}"
-                break
-        results.append((f"delta/j {rep_id}", ok, detail))
+        cases = ((n, t) for n in (rep.divisibility, 2 * rep.divisibility) for t in DELTA_SUITE_POINTS)
+        failed = next((case for case in cases if not oracles.identities_at(rep, *case)), None)
+        detail = "" if failed is None else f"fails at n={failed[0]}, t={failed[1]}"
+        results.append((f"delta/j {rep_id}", failed is None, detail))
     return results
 
 
@@ -389,8 +390,6 @@ def _cmd_verify(args, catalog):
         checks += _verify_lambda(cat, args.nmax)
     if args.suite in ("polygon", "all"):
         checks += _verify_polygon(cat, args.bound)
-    if args.suite in ("lemma", "all"):
-        checks += _verify_lemma()
     if args.suite in ("delta", "all"):
         checks += _verify_delta(cat)
     payload = [{"check": name, "passed": ok, "detail": detail} for name, ok, detail in checks]
@@ -448,7 +447,7 @@ def build_parser():
 
     p = add("verify", _cmd_verify, help="run brute-force oracles against the main paths")
     p.add_argument(
-        "--suite", choices=("lambda", "polygon", "lemma", "delta", "all"), default="all"
+        "--suite", choices=("lambda", "polygon", "delta", "all"), default="all"
     )
     p.add_argument("--nmax", type=int, default=60, help="lambda suite parameter cap")
     p.add_argument("--bound", type=int, choices=(4, 5), default=4, help="polygon suite bound")

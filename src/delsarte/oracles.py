@@ -4,9 +4,9 @@ Everything here deliberately uses the naive formulation — generators
 from a Fraction Gauss-Jordan inverse, breadth-first closure of the
 character group's generators, full multiplier scans of every element,
 bounding-box scans for lattice points, an exhaustive subset scan for the
-polygon census, trial-division primes — so a bug shared with the
-optimized paths is implausible. Slow by design; used by the test suite
-and `delsarte verify`.
+polygon census, the Weierstrass data evaluated at rational points — so a
+bug shared with the optimized paths is implausible. Slow by design; used
+by the test suite and `delsarte verify`.
 """
 
 from __future__ import annotations
@@ -19,6 +19,7 @@ from .errors import GroupTooLargeError, InconsistencyError, SingularMatrixError
 from .lattice import MAX_GROUP_ORDER, ExponentMatrix, group_order
 from .polygon import lattice_counts, polygon_edges
 from . import polygon as _polygon
+from .weierstrass import affine_at
 
 
 def _vector_order(vec) -> int:
@@ -263,35 +264,28 @@ def one_interior_polygons(bound):
     return sorted(found)
 
 
-def _primes_up_to(limit: int):
-    sieve = bytearray([1]) * (limit + 1)
-    sieve[0:2] = b"\x00\x00"
-    for p in range(2, int(limit**0.5) + 1):
-        if sieve[p]:
-            sieve[p * p :: p] = bytearray(len(sieve[p * p :: p]))
-    return [p for p, flag in enumerate(sieve) if flag]
+def _value_at(poly, n, t) -> Fraction:
+    # Each monomial (c, s) of the catalog polynomial is t^(c+s*n).
+    t = Fraction(t)
+    return sum((coeff * t ** affine_at(mono, n) for mono, coeff in poly.items()), Fraction(0))
 
 
-def prime_gap_scan(limit: int):
-    """Multiples of 3 in (3, limit] with no prime p = 2 (mod 3), 3p < n, p not | n.
+def identities_at(rep, n, t) -> bool:
+    """Whether a representative's delta and j follow from its a and b at n and the point t.
 
-    A standalone check of a prime-gap lemma, run by ``verify --suite
-    lemma`` and kept for a future proof of lambda at every n (ROADMAP item
-    5). No rank or lambda computation uses it: the admissibility test
-    scans every unit t <= m // 2. Only multiples of 3 are scanned; without
-    that restriction a handful of small n (4, 5, 8, 10, 14, 20) would
-    qualify vacuously because no prime satisfies 3p < n at all. A scan up
-    to 51 already determines the full answer; larger limits certify
-    stability.
+    Evaluates the catalog's a, b, delta, jnum and jden at the rational t,
+    term by term in Fraction arithmetic, then checks
+    delta = -16 (4a^3 + 27b^2) and, cross-multiplied,
+    jnum (4a^3 + 27b^2) = 1728 * 4a^3 * jden. A zero 4a^3 + 27b^2 fails.
+    Oracle for the identity proof of catalog.py: no ring product, no
+    polynomial equality and no j_invariant.
     """
-    if limit < 4:
-        raise ValueError("limit must be at least 4")
-    primes = [p for p in _primes_up_to(limit) if p % 3 == 2]
-    hits = []
-    for n in range(6, limit + 1, 3):
-        if not any(3 * p < n and n % p for p in primes):
-            hits.append(n)
-    return hits
+    a, b, delta, j_num, j_den = (
+        _value_at(poly, n, t) for poly in (rep.a, rep.b, rep.delta, rep.j_num, rep.j_den)
+    )
+    cubed = 4 * a * a * a
+    den = cubed + 27 * b * b
+    return den != 0 and delta == -16 * den and j_num * den == 1728 * cubed * j_den
 
 
 def class_census(bound: int):

@@ -182,19 +182,6 @@ class SparsePoly:
 
     __rmul__ = __mul__
 
-    def __pow__(self, power):
-        if power < 0:
-            raise ValueError("negative powers are not supported")
-        result = _wrap({(0, 0): 1})
-        base = self
-        while True:
-            if power & 1:
-                result = result * base
-            power >>= 1
-            if not power:
-                return result
-            base = base * base
-
     def __eq__(self, other):
         if isinstance(other, (int, Fraction)):
             other = SparsePoly(other)
@@ -389,8 +376,9 @@ def discriminant(curve: WeierstrassData) -> SparsePoly:
 
 def j_invariant(curve: WeierstrassData):
     """The j-invariant as the unreduced pair (1728*4a^3, 4a^3 + 27b^2)."""
-    cubed = 4 * curve.a ** 3
-    den = cubed + 27 * curve.b ** 2
+    a, b = curve
+    cubed = 4 * a * a * a
+    den = cubed + 27 * b * b
     if den.is_zero:
         raise NonEllipticError("discriminant vanishes identically")
     return 1728 * cubed, den

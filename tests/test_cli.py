@@ -103,6 +103,12 @@ def test_rank_divisibility_exit_code(capsys):
     assert main(["rank", "--family", "1a", "--n", "7"]) == 3
 
 
+def test_rank_below_one_names_the_bound_not_divisibility(capsys):
+    # 360 divides 0, so "requires 360 | n" would be false here.
+    assert main(["rank", "--rep", "1a", "--n", "0"]) == 3
+    assert capsys.readouterr().err == "error: representative 1a needs n >= 1; got n = 0\n"
+
+
 def test_rank_maps_through_representative(capsys):
     assert main(["rank", "--family", "5b", "--n", "120"]) == 0
     out = capsys.readouterr().out
@@ -231,14 +237,47 @@ def test_census_scan_disagreement_exit_code(monkeypatch, capsys):
     assert "scan (1, 0) != counts" in capsys.readouterr().err
 
 
-def test_verify_lemma_suite(capsys):
-    assert main(["verify", "--suite", "lemma"]) == 0
-    assert "1/1 checks passed" in capsys.readouterr().out
-
-
 def test_verify_delta_suite(capsys):
     assert main(["verify", "--suite", "delta"]) == 0
     assert "11/11 checks passed" in capsys.readouterr().out
+
+
+def _catalog_with(tmp_path, old, new):
+    text = DEFAULT_CATALOG.read_text()
+    assert text.count(old) == 1, old
+    path = tmp_path / "families.cat"
+    path.write_text(text.replace(old, new))
+    return str(path)
+
+
+def test_verify_delta_suite_does_not_rest_on_the_ring_equality(tmp_path, monkeypatch, capsys):
+    # With polynomial equality broken, the identity proof of the rank path
+    # accepts a wrong delta; the suite evaluates at points and still fails it.
+    path = _catalog_with(tmp_path, " delta=-64*(1+t^n)^3 ", " delta=-65*(1+t^n)^3 ")
+    monkeypatch.setattr(delsarte.SparsePoly, "__eq__", lambda self, other: True)
+    assert main(["--catalog", path, "verify", "--suite", "delta"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL  delta/j 2a  [fails at n=24, t=2]" in out
+    assert "10/11 checks passed" in out
+
+
+def test_verify_delta_suite_checks_jnum(tmp_path, capsys):
+    path = _catalog_with(tmp_path, " b=0 delta=-64*(1+t^n)^3 jnum=1728 ", " b=0 delta=-64*(1+t^n)^3 jnum=1729 ")
+    assert main(["--catalog", path, "verify", "--suite", "delta"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL  delta/j 2a  [fails at n=24, t=2]" in out
+    assert "10/11 checks passed" in out
+
+
+def test_verify_delta_suite_reports_a_vanishing_discriminant_as_a_failure(tmp_path, capsys):
+    # 1a has a=0, so b=0 makes 4a^3 + 27b^2 vanish: its check fails, and
+    # the other ten representatives are still checked.
+    path = _catalog_with(tmp_path, " a=0 b=1+t^n ", " a=0 b=0 ")
+    assert main(["--catalog", path, "verify", "--suite", "delta"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL  delta/j 1a  [fails at n=360, t=2]"
+    assert [line.split()[0] for line in lines[1:11]] == ["ok"] * 10
+    assert lines[11] == "10/11 checks passed"
 
 
 def test_verify_lambda_suite_small_cap(capsys):
@@ -466,7 +505,7 @@ load_catalog()
 with contextlib.redirect_stdout(io.StringIO()):
     codes = [main(["rank", "--rep", "1a", "--n", "360"]), main(["classify", "--poly", "1 + t^4 X^2 Y + X^3 + Y^2"])]
     loaded = sorted(set(sys.modules) - before)
-    codes += [main(["census"]), main(["verify", "--suite", "lemma"])]
+    codes += [main(["census"]), main(["verify", "--suite", "delta"])]
 print(codes, "dataclasses" in loaded, "delsarte.oracles" in loaded, "delsarte.oracles" in sys.modules)
 """
 

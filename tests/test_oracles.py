@@ -4,8 +4,9 @@ from math import gcd, prod
 
 import pytest
 
-from delsarte import group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
+from delsarte import SparsePoly, group_order, homogenize, lattice_counts, lattice_generators, lefschetz_number
 from delsarte import lattice
+from delsarte.cli import DELTA_SUITE_POINTS
 from delsarte.errors import GroupTooLargeError, SingularMatrixError
 from delsarte.lattice import _basis, _generator_cells, _orbit_normal_forms, _prime_powers
 from delsarte.oracles import (
@@ -14,10 +15,10 @@ from delsarte.oracles import (
     class_census,
     closure_cells,
     gauss_jordan_generators,
+    identities_at,
     interior_scan,
     mat4_inverse,
     one_interior_polygons,
-    prime_gap_scan,
     row_vec_apply,
     scan_lambda,
     scan_points,
@@ -225,12 +226,32 @@ def test_scan_points_partition():
     assert set(boundary).isdisjoint(interior)
 
 
-def test_prime_gap_scan():
-    assert prime_gap_scan(51) == [6, 12, 30]
-    assert prime_gap_scan(200) == [6, 12, 30]
-    assert 36 not in prime_gap_scan(200)  # p = 11 works: 33 < 36 and 11 does not divide 36
-    with pytest.raises(ValueError):
-        prime_gap_scan(3)
+def test_identities_at_holds_on_every_bundled_case(catalog):
+    # The cases of `verify --suite delta`: each representative at n = div
+    # and 2 div, at every sample point t.
+    cases = [
+        (rep, n, t)
+        for rep in catalog.representatives.values()
+        for n in (rep.divisibility, 2 * rep.divisibility)
+        for t in DELTA_SUITE_POINTS
+    ]
+    assert len(cases) == 88
+    for rep, n, t in cases:
+        assert identities_at(rep, n, t), (rep.id, n, t)
+
+
+def test_identities_at_refuses_a_wrong_field_or_a_vanishing_denominator(catalog):
+    rep = catalog.representative("2a")  # a = 1+t^n, b = 0: j = 1728
+    n = rep.divisibility
+    assert identities_at(rep, n, 2)
+    wrong = {
+        "jnum": rep._replace(j_num=rep.j_num + 1),
+        "jden": rep._replace(j_den=rep.j_den * 2),
+        "delta": rep._replace(delta=rep.delta + 1),
+        "a = b = 0": rep._replace(a=SparsePoly(0), delta=SparsePoly(0)),
+    }
+    for name, bad in wrong.items():
+        assert not identities_at(bad, n, 2), name
 
 
 def test_census_search_matches_exhaustive_scan():
