@@ -2,8 +2,7 @@
 
 Run from the repository root:
 
-    python tests/mutants.py              # every mutant
-    python tests/mutants.py NAME ...     # only the named ones
+    python tests/mutants.py
 
 Each mutant is one or more edits (file, exact old text, new text), the
 file relative to the repository root. For each mutant the runner copies
@@ -89,22 +88,16 @@ def _tier1(edits):
         return result.returncode, result.stdout + result.stderr
 
 
-def main(argv) -> int:
-    unknown = [name for name in argv if name not in MUTANTS]
-    if unknown:
-        print(f"unknown mutants: {unknown}; known: {list(MUTANTS)}", file=sys.stderr)
-        return 2
+def main() -> int:
     code, output = _tier1([])
     if code != 0:
         print(f"the unmutated copy fails its tests (pytest exit {code}):\n{output}", file=sys.stderr)
         return 1
     caught = 0
-    bad = []
-    names = argv or list(MUTANTS)
-    for name in names:
+    for name, edits in MUTANTS.items():
         start = time.perf_counter()
         try:
-            code, output = _tier1(MUTANTS[name])
+            code, output = _tier1(edits)
         except ValueError as exc:
             code, output = None, str(exc)
         elapsed = time.perf_counter() - start
@@ -113,13 +106,11 @@ def main(argv) -> int:
         print(f"{verdict:<8} {name} ({elapsed:.1f} s)")
         if code == 1:
             caught += 1
-        else:
-            bad.append(name)
-            if code != 0:
-                print(output.strip().splitlines()[-1] if output.strip() else "(no output)")
-    print(f"{caught}/{len(names)} mutants caught")
-    return 0 if not bad else 1
+        elif code != 0:
+            print(output.strip().splitlines()[-1] if output.strip() else "(no output)")
+    print(f"{caught}/{len(MUTANTS)} mutants caught")
+    return 0 if caught == len(MUTANTS) else 1
 
 
 if __name__ == "__main__":
-    sys.exit(main(sys.argv[1:]))
+    sys.exit(main())

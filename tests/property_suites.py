@@ -1,5 +1,6 @@
 """Randomized property suites, shared by test_properties and the
-acceptance criterion that reruns them at >= 100 cases each.
+acceptance criterion that reruns them at >= 100 cases each, and the small
+helpers that several test modules share.
 
 Each suite returns the number of cases exercised; failures raise
 AssertionError. Seeds are fixed by the callers for reproducibility.
@@ -7,8 +8,11 @@ AssertionError. Seeds are fixed by the callers for reproducibility.
 
 import random
 from fractions import Fraction
+from functools import reduce
+from operator import mul
 
 from delsarte import (
+    SparsePoly,
     UnimodularAffineMap,
     convex_hull,
     homogenize,
@@ -20,9 +24,24 @@ from delsarte import (
 )
 from itertools import permutations
 
+from delsarte.catalog import DEFAULT_CATALOG
 from delsarte.errors import DegenerateSupportError, SingularMatrixError
 from delsarte.lattice import ExponentMatrix, _admissible
 from delsarte.oracles import closure_cells, scan_points
+
+
+def power(poly, k):
+    """poly to the k-th power, as a product of k factors: the ring has no power operator."""
+    return reduce(mul, [poly] * k, SparsePoly(1))
+
+
+def mutated_catalog(tmp_path, old, new):
+    """A copy of the bundled catalog in tmp_path with the first occurrence of old replaced by new."""
+    text = DEFAULT_CATALOG.read_text()
+    assert old in text, old
+    path = tmp_path / "families.cat"
+    path.write_text(text.replace(old, new, 1))
+    return path
 
 
 def residue(num, den=1):

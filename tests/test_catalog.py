@@ -3,8 +3,6 @@ import random
 import re
 import time
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 import pytest
 from hypothesis import given, settings
@@ -22,6 +20,7 @@ from delsarte.catalog import _REP_FIELDS, _ROW_FIELDS, DEFAULT_CATALOG
 from delsarte.errors import CatalogError, DivisibilityError, NonEllipticError
 from delsarte.fibers import KODAIRA_TYPES
 from delsarte.weierstrass import MAX_TERMS, affine_at, affine_text, parse_affine, parse_poly
+from property_suites import mutated_catalog, power
 
 REP_IDS = ["1a", "1b", "1c", "1d", "1g", "2a", "2b", "2e", "3d", "11", "12"]
 
@@ -285,7 +284,7 @@ def _reference_evaluate(text, n):
     value = eval(compile(tree, "<reference>", "eval"), {
         "T": lambda exponent: SparsePoly({exponent: 1}),
         "F": Fraction,
-        "P": lambda base, power: reduce(mul, [base] * power, SparsePoly(1)),
+        "P": power,
     })
     return value if isinstance(value, SparsePoly) else SparsePoly(value)
 
@@ -348,23 +347,15 @@ def test_delta_and_j_identities(catalog):
         assert j_num * rep.j_den.evaluate(n) == rep.j_num.evaluate(n) * j_den, rep_id
 
 
-def _mutated_catalog(tmp_path, old, new):
-    text = DEFAULT_CATALOG.read_text()
-    assert old in text
-    path = tmp_path / "families.cat"
-    path.write_text(text.replace(old, new))
-    return path
-
-
 def test_parse_error_carries_line_number(tmp_path):
-    path = _mutated_catalog(tmp_path, "table_n=360 rank=68", "table_n=x rank=68")
+    path = mutated_catalog(tmp_path, "table_n=360 rank=68", "table_n=x rank=68")
     with pytest.raises(CatalogError) as err:
         load_catalog(path)
     assert "line" in str(err.value)
 
 
 def test_collinear_row_rejected(tmp_path):
-    path = _mutated_catalog(
+    path = mutated_catalog(
         tmp_path,
         "family id=1a terms=(t:0,x:0,y:0);(t:n,x:0,y:0);(t:0,x:3,y:0);(t:0,x:0,y:2)",
         "family id=1a terms=(t:0,x:0,y:0);(t:n,x:1,y:0);(t:0,x:2,y:0);(t:0,x:3,y:0)",
@@ -377,7 +368,7 @@ def test_collinear_row_rejected(tmp_path):
 def test_higher_genus_row_rejected(tmp_path):
     # raising the Y-degree gives a three-interior-point hull; the loader
     # must reject it while naming the row
-    path = _mutated_catalog(
+    path = mutated_catalog(
         tmp_path,
         "family id=5a terms=(t:0,x:0,y:0);(t:n,x:0,y:0);(t:0,x:3,y:0);(t:0,x:0,y:3)",
         "family id=5a terms=(t:0,x:0,y:0);(t:n,x:0,y:0);(t:0,x:3,y:0);(t:0,x:0,y:4)",
@@ -388,7 +379,7 @@ def test_higher_genus_row_rejected(tmp_path):
 
 
 def test_wrong_polygon_label_rejected(tmp_path):
-    path = _mutated_catalog(tmp_path, "polygon=w12", "polygon=w9")
+    path = mutated_catalog(tmp_path, "polygon=w12", "polygon=w9")
     with pytest.raises(CatalogError) as err:
         load_catalog(path)
     assert "classifies" in str(err.value)
@@ -458,7 +449,7 @@ def test_wrong_polygon_label_rejected(tmp_path):
     ],
 )
 def test_bad_record_rejected_at_its_line(tmp_path, old, new, line, says):
-    path = _mutated_catalog(tmp_path, old, new)
+    path = mutated_catalog(tmp_path, old, new)
     start = time.perf_counter()
     with pytest.raises(CatalogError) as err:
         load_catalog(path)

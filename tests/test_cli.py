@@ -15,6 +15,7 @@ from delsarte import lattice, lefschetz_number, oracles
 from delsarte.catalog import DEFAULT_CATALOG
 from delsarte.cli import LAMBDA_SUITE_BUDGET, main, parse_polynomial
 from delsarte.errors import DelsarteError, PolynomialSyntaxError
+from property_suites import mutated_catalog
 
 
 def test_parse_polynomial_basic():
@@ -242,28 +243,20 @@ def test_verify_delta_suite(capsys):
     assert "11/11 checks passed" in capsys.readouterr().out
 
 
-def _catalog_with(tmp_path, old, new):
-    text = DEFAULT_CATALOG.read_text()
-    assert text.count(old) == 1, old
-    path = tmp_path / "families.cat"
-    path.write_text(text.replace(old, new))
-    return str(path)
-
-
 def test_verify_delta_suite_does_not_rest_on_the_ring_equality(tmp_path, monkeypatch, capsys):
     # With polynomial equality broken, the identity proof of the rank path
     # accepts a wrong delta; the suite evaluates at points and still fails it.
-    path = _catalog_with(tmp_path, " delta=-64*(1+t^n)^3 ", " delta=-65*(1+t^n)^3 ")
+    path = mutated_catalog(tmp_path, " delta=-64*(1+t^n)^3 ", " delta=-65*(1+t^n)^3 ")
     monkeypatch.setattr(delsarte.SparsePoly, "__eq__", lambda self, other: True)
-    assert main(["--catalog", path, "verify", "--suite", "delta"]) == 4
+    assert main(["--catalog", str(path), "verify", "--suite", "delta"]) == 4
     out = capsys.readouterr().out
     assert "FAIL  delta/j 2a  [fails at n=24, t=2]" in out
     assert "10/11 checks passed" in out
 
 
 def test_verify_delta_suite_checks_jnum(tmp_path, capsys):
-    path = _catalog_with(tmp_path, " b=0 delta=-64*(1+t^n)^3 jnum=1728 ", " b=0 delta=-64*(1+t^n)^3 jnum=1729 ")
-    assert main(["--catalog", path, "verify", "--suite", "delta"]) == 4
+    path = mutated_catalog(tmp_path, " b=0 delta=-64*(1+t^n)^3 jnum=1728 ", " b=0 delta=-64*(1+t^n)^3 jnum=1729 ")
+    assert main(["--catalog", str(path), "verify", "--suite", "delta"]) == 4
     out = capsys.readouterr().out
     assert "FAIL  delta/j 2a  [fails at n=24, t=2]" in out
     assert "10/11 checks passed" in out
@@ -272,8 +265,8 @@ def test_verify_delta_suite_checks_jnum(tmp_path, capsys):
 def test_verify_delta_suite_reports_a_vanishing_discriminant_as_a_failure(tmp_path, capsys):
     # 1a has a=0, so b=0 makes 4a^3 + 27b^2 vanish: its check fails, and
     # the other ten representatives are still checked.
-    path = _catalog_with(tmp_path, " a=0 b=1+t^n ", " a=0 b=0 ")
-    assert main(["--catalog", path, "verify", "--suite", "delta"]) == 4
+    path = mutated_catalog(tmp_path, " a=0 b=1+t^n ", " a=0 b=0 ")
+    assert main(["--catalog", str(path), "verify", "--suite", "delta"]) == 4
     lines = capsys.readouterr().out.splitlines()
     assert lines[0] == "FAIL  delta/j 1a  [fails at n=360, t=2]"
     assert [line.split()[0] for line in lines[1:11]] == ["ok"] * 10
@@ -394,9 +387,7 @@ def test_unknown_family_exit_code(capsys):
 
 def test_rank_reports_failed_check(tmp_path, capsys):
     # a wrong closed form must surface as a failed check and exit code 4
-    doctored = DEFAULT_CATALOG.read_text().replace("lambda=2n-72", "lambda=2n-70")
-    path = tmp_path / "families.cat"
-    path.write_text(doctored)
+    path = mutated_catalog(tmp_path, "lambda=2n-72", "lambda=2n-70")
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 4
     assert "lambda-formula FAIL" in capsys.readouterr().out
 
@@ -405,9 +396,7 @@ def test_long_sum_chain_in_catalog_exits_cleanly(tmp_path, capsys):
     # A 1201-term b= once overflowed the recursive evaluator; it now
     # evaluates, and the wrong b fails the delta identity (exit 4).
     chain = "+".join(["1"] * 1200) + "+t^n"
-    text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", f" b={chain} ", 1)
-    path = tmp_path / "families.cat"
-    path.write_text(text)
+    path = mutated_catalog(tmp_path, " b=1+t^n ", f" b={chain} ")
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 4
     captured = capsys.readouterr()
     assert "delta-identity FAIL" in captured.out
@@ -417,29 +406,21 @@ def test_long_sum_chain_in_catalog_exits_cleanly(tmp_path, capsys):
 def test_delta_identity_is_proved_for_every_n(tmp_path, capsys):
     # The two extra terms cancel at n = 360 only; a check at that n alone
     # would pass, the identity proved once for every n fails.
-    text = DEFAULT_CATALOG.read_text().replace(
-        "delta=-432*(1+t^n)^2 ", "delta=-432*(1+t^n)^2+t^(2n)-t^(n+360) ", 1
-    )
-    path = tmp_path / "families.cat"
-    path.write_text(text)
+    path = mutated_catalog(tmp_path, "delta=-432*(1+t^n)^2 ", "delta=-432*(1+t^n)^2+t^(2n)-t^(n+360) ")
     for n in ("360", "720"):
         assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", n]) == 4, n
         assert "delta-identity FAIL" in capsys.readouterr().out
 
 
 def test_j_identity_is_checked_on_the_rank_path(tmp_path, capsys):
-    text = DEFAULT_CATALOG.read_text().replace("jnum=6912*t^3n ", "jnum=6913*t^3n ", 1)
-    path = tmp_path / "families.cat"
-    path.write_text(text)
+    path = mutated_catalog(tmp_path, "jnum=6912*t^3n ", "jnum=6913*t^3n ")
     assert main(["--catalog", str(path), "rank", "--rep", "1b", "--n", "840"]) == 4
     assert "delta-identity FAIL" in capsys.readouterr().out
 
 
 def test_vanishing_discriminant_exits_3(tmp_path, capsys):
     # 1a has a=0, so b=0 makes 4a^3 + 27b^2 vanish identically
-    text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", " b=0 ", 1)
-    path = tmp_path / "families.cat"
-    path.write_text(text)
+    path = mutated_catalog(tmp_path, " b=1+t^n ", " b=0 ")
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 3
     captured = capsys.readouterr()
     assert (captured.out, captured.err) == ("", "error: representative 1a: the discriminant vanishes\n")
@@ -450,9 +431,7 @@ def test_long_product_chain_in_catalog_exits_at_its_line(tmp_path, capsys):
     # the expansion passes MAX_TERMS monomials at the 32nd factor and is
     # refused at load.
     chain = "*".join(["(1+t^n)"] * 800)
-    text = DEFAULT_CATALOG.read_text().replace(" b=1+t^n ", f" b={chain} ", 1)
-    path = tmp_path / "families.cat"
-    path.write_text(text)
+    path = mutated_catalog(tmp_path, " b=1+t^n ", f" b={chain} ")
     start = time.perf_counter()
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 2
     assert time.perf_counter() - start < 1.0

@@ -1,22 +1,16 @@
 from fractions import Fraction
-from functools import reduce
-from operator import mul
 
 import pytest
 
 from delsarte import SparsePoly, WeierstrassData, discriminant, j_invariant
 from delsarte.errors import NonEllipticError
+from property_suites import power
 
 F = Fraction
 
 
 def T(exponent):
     return SparsePoly({exponent: 1})
-
-
-def _power(poly, k):
-    """poly to the k-th power, as a product of k factors."""
-    return reduce(mul, [poly] * k, SparsePoly(1))
 
 
 def test_poly_ring_ops():
@@ -116,9 +110,9 @@ def _dense_mul(p, q):
     return _trim(out)
 
 
-def _dense_pow(p, power):
+def _dense_pow(p, k):
     out = [F(1)]
-    for _ in range(power):
+    for _ in range(k):
         out = _dense_mul(out, p)
     return out
 
@@ -189,7 +183,7 @@ def test_sparse_poly_against_dense_reference():
             (p + scalar, _dense_add(dp, [F(scalar)])),
             (scalar - q, _dense_add([F(scalar)], dq, sign=-1)),
         ]
-        results += [(_power(p, k), _dense_pow(dp, k)) for k in range(7)]
+        results += [(power(p, k), _dense_pow(dp, k)) for k in range(7)]
         for poly, reference in results:
             _assert_canonical(poly)
             assert _dense(poly) == _trim(reference), (p, q, scalar, poly)
@@ -207,7 +201,7 @@ def test_sparse_poly_against_dense_reference():
             (p - q, lambda dp, dq: _dense_add(dp, dq, sign=-1)),
             (p * q, _dense_mul),
         ]
-        results += [(_power(p, k), lambda dp, dq, k=k: _dense_pow(dp, k)) for k in range(5)]
+        results += [(power(p, k), lambda dp, dq, k=k: _dense_pow(dp, k)) for k in range(5)]
         for poly, reference in results:
             _assert_canonical(poly)
             for n in (3, 6, 12):
