@@ -19,7 +19,7 @@ from math import lcm
 from pathlib import Path
 from typing import NamedTuple
 
-from .errors import CatalogError, DivisibilityError, NonEllipticError
+from .errors import CatalogError, DivisibilityError, InconsistencyError, NonEllipticError
 from .fibers import KODAIRA_TYPES, Kodaira, euler_number, mordell_weil_rank, rho_triv, second_betti
 from .lattice import group_order, homogenize, lefschetz_number
 from .polygon import classify_one_interior, convex_hull
@@ -239,6 +239,11 @@ class Catalog:
             order = group_order(matrix)
             config = self.fibers_at(rep.id, n)
             euler = euler_number(config)
+            if euler % 12:  # the Euler number of an elliptic surface is 12 chi(O)
+                raise InconsistencyError(
+                    f"representative {rep_id} at n = {n}: the fiber Euler numbers sum to {euler}, "
+                    "not a multiple of 12"
+                )
             h2 = second_betti(config)
             rho = rho_triv(config)
             rank = mordell_weil_rank(h2, lam, rho)

@@ -270,22 +270,25 @@ def _value_at(poly, n, t) -> Fraction:
     return sum((coeff * t ** affine_at(mono, n) for mono, coeff in poly.items()), Fraction(0))
 
 
-def identities_at(rep, n, t) -> bool:
+def identities_at(rep, n, t) -> bool | None:
     """Whether a representative's delta and j follow from its a and b at n and the point t.
 
     Evaluates the catalog's a, b, delta, jnum and jden at the rational t,
     term by term in Fraction arithmetic, then checks
     delta = -16 (4a^3 + 27b^2) and, cross-multiplied,
-    jnum (4a^3 + 27b^2) = 1728 * 4a^3 * jden. A zero 4a^3 + 27b^2 fails.
-    Oracle for the identity proof of catalog.py: no ring product, no
-    polynomial equality and no j_invariant.
+    jnum (4a^3 + 27b^2) = 1728 * 4a^3 * jden. False when either fails;
+    None when both hold but 4a^3 + 27b^2 is 0 at t, where the second one
+    says nothing; True otherwise. Oracle for the identity proof of
+    catalog.py: no ring product, no polynomial equality and no j_invariant.
     """
     a, b, delta, j_num, j_den = (
         _value_at(poly, n, t) for poly in (rep.a, rep.b, rep.delta, rep.j_num, rep.j_den)
     )
     cubed = 4 * a * a * a
     den = cubed + 27 * b * b
-    return den != 0 and delta == -16 * den and j_num * den == 1728 * cubed * j_den
+    if delta != -16 * den or j_num * den != 1728 * cubed * j_den:
+        return False
+    return None if den == 0 else True
 
 
 def class_census(bound: int):

@@ -51,10 +51,35 @@ MUTANTS = {
         ("src/delsarte/fibers.py", "return euler_number(config) - 2", "return euler_number(config) - 1"),
     ],
     "identities_at ignores jnum": [
-        ("src/delsarte/oracles.py", " and j_num * den == 1728 * cubed * j_den", ""),
+        ("src/delsarte/oracles.py", " or j_num * den != 1728 * cubed * j_den", ""),
     ],
     "SparsePoly equality always true": [
         ("src/delsarte/weierstrass.py", "        return self._coeffs == other._coeffs\n", "        return True\n"),
+    ],
+    "admissibility memo keyed on the numerators over M": [
+        (
+            "src/delsarte/lattice.py",
+            "            if _admissible(cell, order):\n",
+            "            if _admissible(tuple(c * (modulus // order) for c in cell), modulus):\n",
+        ),
+    ],
+    "I* Euler offset 7": [
+        ("src/delsarte/fibers.py", '    "I*": (6, 5, 0),\n', '    "I*": (7, 5, 0),\n'),
+    ],
+    "GroupOrderError check removed": [
+        ("src/delsarte/lattice.py", "    if enumerated != predicted:\n        raise GroupOrderError(", "    if False:\n        raise GroupOrderError("),
+    ],
+    "any digit run accepted as a coefficient": [
+        ("src/delsarte/cli.py", '        if number not in (None, "1"):\n', "        if False:\n"),
+    ],
+    "a term may open with '*'": [
+        ("src/delsarte/cli.py", "        elif term is None:\n", '        elif term is None and op != "*":\n'),
+    ],
+    "identities_at fails a zero discriminant again": [
+        ("src/delsarte/oracles.py", "    return None if den == 0 else True\n", "    return den != 0\n"),
+    ],
+    "12 chi check removed": [
+        ("src/delsarte/catalog.py", "            if euler % 12:", "            if False:"),
     ],
 }
 

@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import delsarte
-from delsarte import lattice, lefschetz_number, oracles
+from delsarte import cli, lattice, lefschetz_number, oracles
 
 from delsarte.catalog import DEFAULT_CATALOG
 from delsarte.cli import LAMBDA_SUITE_BUDGET, main, parse_polynomial
@@ -49,6 +49,42 @@ def test_parse_polynomial_errors():
     assert err.value.position is not None
     with pytest.raises(PolynomialSyntaxError):
         parse_polynomial("1 + z + X^3 + Y^2")
+
+
+@pytest.mark.parametrize(
+    "text, message, position",
+    [
+        ("", "empty polynomial", 0),
+        ("   ", "empty polynomial", 0),
+        ("1 + z + X^3 + Y^2", "unexpected character 'z'", 4),
+        ("1 + t^ + X^3 + Y^2", "expected integer exponent", 7),
+        ("01 + t + X^3 + Y^2", "coefficient 01 not supported (unit coefficients only)", 0),
+        ("* X + 1 + X^3 + Y^2", "unexpected '*'", 0),
+        ("1 + + X^3 + Y^2", "expected a term", 4),
+        ("1 + t + X^3 + Y^2 +", "expected a term", 19),
+        ("1 + X^2^3 + X^3 + Y^2", "expected '+', got '^'", 7),
+    ],
+)
+def test_parse_polynomial_error_messages_and_positions(text, message, position):
+    with pytest.raises(PolynomialSyntaxError) as err:
+        parse_polynomial(text)
+    assert (str(err.value), err.value.position) == (f"{message} (at position {position})", position)
+
+
+@pytest.mark.parametrize(
+    "text, terms",
+    [
+        ("X**Y + 1 + X^3 + Y^2", ((0, 1, 1), (0, 0, 0), (0, 3, 0), (0, 0, 2))),
+        ("1 + t + Y^2 + X*", ((0, 0, 0), (1, 0, 0), (0, 0, 2), (0, 1, 0))),
+        ("t ^ 2 X + 1 + X^3 + Y^2", ((2, 1, 0), (0, 0, 0), (0, 3, 0), (0, 0, 2))),
+        ("1 1 + t + X^3 + Y^2", ((0, 0, 0), (1, 0, 0), (0, 3, 0), (0, 0, 2))),
+        ("t^007 + 1 + X^3 + Y^2", ((7, 0, 0), (0, 0, 0), (0, 3, 0), (0, 0, 2))),
+    ],
+)
+def test_parse_polynomial_accepted_quirks(text, terms):
+    # Repeated or trailing '*', spaces around '^', a repeated unit factor
+    # and leading zeros in an exponent are all accepted.
+    assert parse_polynomial(text) == terms
 
 
 def test_parse_polynomial_accepts_ascii_digits_only():
@@ -273,6 +309,53 @@ def test_verify_delta_suite_reports_a_vanishing_discriminant_as_a_failure(tmp_pa
     assert lines[11] == "10/11 checks passed"
 
 
+def test_verify_delta_suite_allows_a_root_of_the_discriminant_at_a_sample_point(tmp_path, capsys):
+    # 4a^3 + 27b^2 = 108 - 4t^3 vanishes at t = 3, where both identities
+    # still hold as written; the rank path accepts the same data.
+    path = mutated_catalog(
+        tmp_path,
+        " a=t^n-1/3 b=2/27-1/3*t^n delta=-64*t^3n+16*t^2n jnum=256*(3*t^n-1)^3 jden=4*t^3n-t^2n\n",
+        " a=-t b=2 delta=-16*(108-4*t^3) jnum=-6912*t^3 jden=108-4*t^3\n",
+    )
+    assert main(["--catalog", str(path), "verify", "--suite", "delta"]) == 0
+    assert "11/11 checks passed" in capsys.readouterr().out
+    assert main(["--catalog", str(path), "rank", "--rep", "2b", "--n", "12"]) == 0
+    assert "delta-identity ok" in capsys.readouterr().out
+
+
+def test_verify_delta_suite_fails_a_discriminant_zero_at_every_point(tmp_path, capsys):
+    # With b = 0 and delta = 0 both identities hold at every point of 1a,
+    # and 4a^3 + 27b^2 is 0 at each of them.
+    path = mutated_catalog(tmp_path, " a=0 b=1+t^n delta=-432*(1+t^n)^2 ", " a=0 b=0 delta=0 ")
+    assert main(["--catalog", str(path), "verify", "--suite", "delta"]) == 4
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[0] == "FAIL  delta/j 1a  [4a^3 + 27b^2 vanishes at every sample point of n=360]"
+    assert lines[-1] == "10/11 checks passed"
+
+
+def test_verify_polygon_suite(capsys):
+    assert main(["verify", "--suite", "polygon"]) == 0
+    assert capsys.readouterr().out.splitlines() == [
+        "ok    census bound 4",
+        "ok    table hulls: counts vs scan",
+        "2/2 checks passed",
+    ]
+
+
+def test_verify_polygon_suite_fails_wrong_table_hull_counts(monkeypatch, capsys):
+    counts = cli.lattice_counts
+
+    def one_interior_point_too_many(hull):
+        interior, *rest = counts(hull)
+        return (interior + 1, *rest)
+
+    monkeypatch.setattr(cli, "lattice_counts", one_interior_point_too_many)
+    assert main(["verify", "--suite", "polygon"]) == 4
+    out = capsys.readouterr().out
+    assert "FAIL  table hulls: counts vs scan" in out
+    assert "1/2 checks passed" in out
+
+
 def test_verify_lambda_suite_small_cap(capsys):
     assert main(["verify", "--suite", "lambda", "--nmax", "12"]) == 0
     assert "11/11 checks passed" in capsys.readouterr().out
@@ -390,6 +473,17 @@ def test_rank_reports_failed_check(tmp_path, capsys):
     path = mutated_catalog(tmp_path, "lambda=2n-72", "lambda=2n-70")
     assert main(["--catalog", str(path), "rank", "--rep", "1a", "--n", "360"]) == 4
     assert "lambda-formula FAIL" in capsys.readouterr().out
+
+
+def test_rank_refuses_an_euler_number_off_12_chi(tmp_path, capsys):
+    # Six extra I1 fibers: every check of the report passes, but the Euler
+    # number of an elliptic surface is 12 chi, and 78 is not a multiple of 12.
+    path = mutated_catalog(tmp_path, "fibers=III:n a=1+t^n", "fibers=III:n,I(1):6 a=1+t^n")
+    assert main(["--catalog", str(path), "rank", "--rep", "2a", "--n", "24"]) == 4
+    captured = capsys.readouterr()
+    assert (captured.out, captured.err) == (
+        "", "error: representative 2a at n = 24: the fiber Euler numbers sum to 78, not a multiple of 12\n"
+    )
 
 
 def test_long_sum_chain_in_catalog_exits_cleanly(tmp_path, capsys):
